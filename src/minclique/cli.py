@@ -113,7 +113,6 @@ def _cmd_witness(args, out, err) -> int:
         "chi": witness.chi,
         "parts": list(witness.certificate.parts),
         "q": _interval_json(witness.certificate.total),
-        "deleted_edges": [list(e) for e in witness.deleted_edges],
     }
     checks = [
         CheckResult("chi", PASS, f"chromatic number {witness.chi} equals n - k = {args.n - args.k}"),

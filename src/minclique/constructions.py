@@ -12,10 +12,11 @@ returned.
 `build_extremal` realizes the minimum clique number achievable at chromatic
 number n - k: join the optimal witness blocks (one per part of the q(k)
 certificate, block i on 2 k_i + 1 vertices) together with enough dominating
-vertices, then delete edges one at a time, in lexicographic order and
-re-solving the chromatic number after each deletion, until it drops to
-exactly n - k.  Edge deletion never increases the clique number, so the
-final graph witnesses the value n - 2k + q(k).
+vertices.  The join still has no independent triple, so a proper coloring
+uses classes of at most two vertices, and the classes of size two form a
+matching of the complement: chi = n - nu(complement) (Gallai), one maximum
+matching instead of a chromatic search.  Both chi = n - k and the clique
+number n - 2k + q(k) are checked before the graph is returned.
 """
 
 from __future__ import annotations
@@ -23,11 +24,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import CapacityError, PreconditionError
-from .graphs import MAX_VERTICES, Graph, complete_graph, from_edges, join
+from .graphs import MAX_VERTICES, Graph, complement, complete_graph, from_edges, join
 from .intervals import IntInterval, interval_max
 from .qfunction import QCertificate, q
 from .ramsey import WitnessCatalog, default_catalog, r3
-from . import solvers
+from . import matching, solvers
 
 
 @dataclass(frozen=True)
@@ -160,7 +161,6 @@ class ExtremalWitness:
     omega: int
     chi: int
     certificate: QCertificate
-    deleted_edges: tuple[tuple[int, int], ...]
 
 
 def build_extremal(n: int, k: int, catalog: WitnessCatalog | None = None) -> ExtremalWitness:
@@ -193,69 +193,15 @@ def build_extremal(n: int, k: int, catalog: WitnessCatalog | None = None) -> Ext
         raise RuntimeError(
             f"internal error: joined graph has clique number {omega}, expected {target_omega}"
         )
-    chi = solvers.chromatic_number(graph)
-    target_chi = n - k
-    if chi < target_chi:
+    alpha = solvers.independence_number(graph)
+    if alpha > 2:
+        raise RuntimeError(f"internal error: joined graph has independence number {alpha} > 2")
+    chi = n - matching.matching_number(complement(graph))
+    if chi != n - k:
         raise RuntimeError(
-            f"internal error: joined graph has chromatic number {chi} < {target_chi}"
+            f"internal error: joined graph has chromatic number {chi}, expected {n - k}"
         )
-
-    graph, deleted = delete_edges_until_chi(graph, target_chi)
-
-    omega = solvers.clique_number(graph)
-    if omega != target_omega:
-        raise RuntimeError(
-            f"internal error: final clique number {omega}, expected {target_omega}"
-        )
-    return ExtremalWitness(n, k, graph, omega, chi, cert, tuple(deleted))
-
-
-def delete_edges_until_chi(graph: Graph, target_chi: int) -> tuple[Graph, tuple[tuple[int, int], ...]]:
-    """Delete edges one at a time, lexicographically, re-solving the
-    chromatic number after each deletion, until it equals target_chi.
-
-    A single deletion lowers the chromatic number by at most one, so the
-    target is never overshot; deletions that would undershoot are skipped
-    (that can only matter once the target is reached, but it keeps the loop
-    safe under any target).
-    """
-    chi = solvers.chromatic_number(graph)
-    if chi < target_chi:
-        raise PreconditionError(
-            f"chromatic number {chi} already below the target {target_chi}"
-        )
-    n = graph.n
-    deleted: list[tuple[int, int]] = []
-    adj = list(graph.adj)
-    while chi > target_chi:
-        progressed = False
-        for u, v in _edges_of(adj):
-            trial = list(adj)
-            trial[u] &= ~(1 << v)
-            trial[v] &= ~(1 << u)
-            trial_chi = solvers.chromatic_number(Graph(n, tuple(trial)))
-            if trial_chi >= target_chi:
-                adj = trial
-                chi = trial_chi
-                deleted.append((u, v))
-                progressed = True
-                break
-        if not progressed:
-            raise PreconditionError(
-                f"no single deletion keeps the chromatic number at or above {target_chi}"
-            )
-    return Graph(n, tuple(adj)), tuple(deleted)
-
-
-def _edges_of(adj: list[int]) -> list[tuple[int, int]]:
-    out = []
-    for u in range(len(adj)):
-        row = adj[u] >> (u + 1) << (u + 1)
-        while row:
-            low = row & -row
-            out.append((u, low.bit_length() - 1))
-            row ^= low
-    return out
+    return ExtremalWitness(n, k, graph, omega, chi, cert)
 
 
 def chromatic_gap(n: int, mode: str = "auto") -> IntInterval:
@@ -264,9 +210,11 @@ def chromatic_gap(n: int, mode: str = "auto") -> IntInterval:
 
     Oracle mode answers by exhaustive enumeration (n <= 8 only).  Formula
     mode maximizes k - q(k) over every k whose optimal block partition fits
-    in n vertices (sum of block sizes 2 k_i + 1 is at most n); each such k
-    is witnessed by an actual construction, and for n <= 8 the maximum
-    provably matches the oracle.
+    in n vertices (sum of block sizes 2 k_i + 1 is at most n).  Each such k
+    is realized by the join that `build_extremal` constructs, but it is
+    built and verified only where the catalog holds every block (k <= 8
+    with the built-in witnesses); beyond that the value rests on the
+    formula.  For n <= 8 the maximum provably matches the oracle.
     """
     if mode == "auto":
         mode = "oracle" if n <= 8 else "formula"

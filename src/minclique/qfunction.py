@@ -6,10 +6,11 @@ sum_i (small_omega(2 k_i + 1) - 1).  Costs are intervals wherever the
 underlying Ramsey values are only bracketed, and the minimum folds
 endpointwise, so q(k) is itself an interval (degenerate when exact).
 
-Computed by memoized recursion over (remaining, largest part allowed,
-parts left), which enumerates each partition once in canonical descending
-order; certificates achieve the interval's lower endpoint under optimistic
-costs and break ties by fewest parts, then lexicographically largest part
+Computed by one bottom-up dynamic program over the largest part allowed
+(an unbounded knapsack over parts; the bounded variant adds one row per
+allowed part), so each partition is counted once, in descending order.
+Certificates achieve the interval's lower endpoint under optimistic costs
+and break ties by fewest parts, then lexicographically largest part
 vector.  A certificate whose value is not exact is flagged conditional.
 """
 
@@ -17,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from math import inf
 
 from .intervals import IntInterval, interval_sum
 from .ramsey import small_omega
@@ -49,59 +51,43 @@ class QCertificate:
         return len(self.parts)
 
 
-@lru_cache(maxsize=None)
-def _min_endpoint(k: int, max_part: int, parts_left: int, use_hi: bool) -> int | None:
-    """Least achievable endpoint over partitions of k into at most
-    parts_left parts, each at most max_part.  None if infeasible."""
-    if k == 0:
-        return 0
-    if parts_left == 0 or max_part == 0:
-        return None
-    best = None
-    for p in range(min(k, max_part), 0, -1):
-        cost = block_cost(p)
-        sub = _min_endpoint(k - p, p, parts_left - 1, use_hi)
-        if sub is None:
-            continue
-        value = (cost.hi if use_hi else cost.lo) + sub
-        if best is None or value < best:
-            best = value
-    return best
-
-
-@lru_cache(maxsize=None)
-def _best_partition(k: int, max_part: int, parts_left: int) -> tuple | None:
-    """Key-minimal partition under (lo total, number of parts, lex-largest
-    parts); returns (lo, nparts, negated parts) or None."""
-    if k == 0:
-        return (0, 0, ())
-    if parts_left == 0 or max_part == 0:
-        return None
-    best = None
-    for p in range(min(k, max_part), 0, -1):
-        sub = _best_partition(k - p, p, parts_left - 1)
-        if sub is None:
-            continue
-        lo, nparts, neg = sub
-        key = (block_cost(p).lo + lo, nparts + 1, (-p,) + neg)
-        if best is None or key < best:
-            best = key
-    return best
-
-
 def _minimize(k: int, s_max: int) -> tuple[IntInterval, QCertificate]:
-    if k == 0:
-        zero = IntInterval.point(0)
-        return zero, QCertificate(0, (), (), zero, conditional=False)
-    lo = _min_endpoint(k, k, s_max, False)
-    hi = _min_endpoint(k, k, s_max, True)
-    assert lo is not None and hi is not None
-    value = IntInterval(lo, hi)
-    _, _, neg = _best_partition(k, k, s_max)
-    parts = tuple(-p for p in neg)
+    """Bottom-up over the largest part p = 1..k: after round p, entry r of
+    row j is the best partition of r into parts <= p and, when s_max < k,
+    at most j parts (unrestricted, a single row is updated in place).
+    Entries are keyed (lo total, number of parts, -largest part); every
+    partition stored before round p has largest part < p, so the third
+    component settles ties toward lexicographically largest parts.  The
+    certificate is read back part by part from the final rows: a remainder
+    whose entry improved after it was used would improve k's entry too.
+    The upper endpoint is minimized on its own."""
+    bounded = s_max < k
+    rows = s_max if bounded else 1
+    best = [[(0, 0, 0)] + [(inf, 0, 0)] * k for _ in range(rows + 1)]
+    hi = [[0] + [inf] * k for _ in range(rows + 1)]
+    for p in range(1, k + 1):
+        cost = block_cost(p)
+        for j in range(1, rows + 1):
+            src = j - 1 if bounded else j
+            src_best, src_hi, row_best, row_hi = best[src], hi[src], best[j], hi[j]
+            for r in range(p, k + 1):
+                lo, nparts, _ = src_best[r - p]
+                cand = (lo + cost.lo, nparts + 1, -p)
+                if cand < row_best[r]:
+                    row_best[r] = cand
+                if src_hi[r - p] + cost.hi < row_hi[r]:
+                    row_hi[r] = src_hi[r - p] + cost.hi
+    value = IntInterval(best[rows][k][0], hi[rows][k])
+    parts = []
+    j, r = rows, k
+    while r:
+        parts.append(-best[j][r][2])
+        r -= parts[-1]
+        if bounded:
+            j -= 1
     part_values = tuple(block_cost(p) for p in parts)
     cert = QCertificate(
-        k, parts, part_values, interval_sum(part_values),
+        k, tuple(parts), part_values, interval_sum(part_values),
         conditional=not value.exact,
     )
     assert cert.total.lo == value.lo

@@ -86,7 +86,6 @@ class RamseyEntry:
     ell: int
     bounds: IntInterval
     witness: Graph | None = None
-    source: str | None = None
 
 
 # Classic lower-bound constructions, stored as their triangle-free side and

@@ -88,7 +88,9 @@ def test_build_extremal_examples(catalog):
 
 
 def test_build_extremal_verified_by_solvers(catalog):
-    for n, k in [(7, 2), (8, 2), (9, 3), (10, 3), (11, 4)]:
+    # (17, 7) and (19, 8) use the 15- and 17-vertex blocks, so every block
+    # size the catalog serves has its matching-certified chi re-solved here
+    for n, k in [(7, 2), (8, 2), (9, 3), (10, 3), (11, 4), (17, 7), (19, 8)]:
         w = build_extremal(n, k, catalog)
         assert chromatic_number(w.graph) == n - k == w.chi
         assert clique_number(w.graph) == n - 2 * k + q_value(k).lo == w.omega
@@ -96,8 +98,8 @@ def test_build_extremal_verified_by_solvers(catalog):
 
 
 def test_build_extremal_join_identity(catalog):
-    # before deletion, the clique number of the join is the sum of the
-    # dominating-vertex count and the block clique numbers
+    # the clique number of the join is the sum of the dominating-vertex
+    # count and the block clique numbers
     for n, k in [(9, 3), (11, 4)]:
         w = build_extremal(n, k, catalog)
         blocks = [catalog.witness_alpha2(2 * p + 1) for p in w.certificate.parts]
@@ -116,24 +118,6 @@ def test_build_extremal_errors(catalog):
         build_extremal(65, 0, catalog)
     with pytest.raises(PreconditionError):
         build_extremal(7, -1, catalog)
-
-
-def test_edge_deletion_loop():
-    from minclique.constructions import delete_edges_until_chi
-
-    g, deleted = delete_edges_until_chi(complete_graph(5), 3)
-    assert chromatic_number(g) == 3
-    assert clique_number(g) == 3  # deletion never increases the clique number
-    assert len(deleted) == len(set(deleted)) > 0
-    # deterministic: lexicographically first viable edge each round
-    g2, deleted2 = delete_edges_until_chi(complete_graph(5), 3)
-    assert deleted2 == deleted and g2 == g
-
-    g, deleted = delete_edges_until_chi(complete_graph(4), 4)
-    assert deleted == () and g == complete_graph(4)
-
-    with pytest.raises(PreconditionError):
-        delete_edges_until_chi(complete_graph(3), 4)
 
 
 def test_gap_oracle_small():

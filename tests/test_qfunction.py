@@ -1,3 +1,4 @@
+import sys
 import time
 
 import pytest
@@ -130,3 +131,10 @@ def test_q_runtime():
     for k in range(23):
         q(k)
     assert time.perf_counter() - t0 < 1.0
+
+
+def test_q_beyond_recursion_limit():
+    k = sys.getrecursionlimit() + 100
+    value, cert = q(k)
+    assert isinstance(value, IntInterval)
+    assert sum(cert.parts) == k and cert.total.lo == value.lo
