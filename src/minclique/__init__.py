@@ -48,7 +48,7 @@ from .matching import (
 )
 from .oracle import brute_Q, brute_gap, canonical_form, count_graphs, enumerate_graphs
 from .qfunction import QCertificate, q, q_bounded_s, q_value
-from .ramsey import RamseyEntry, WitnessCatalog, default_catalog, r3, small_omega, witness_alpha2
+from .ramsey import WitnessCatalog, default_catalog, r3, small_omega
 from .solvers import (
     chromatic_number,
     clique_number,

@@ -200,6 +200,8 @@ def _cmd_check(args, out, err) -> int:
     checks: list[CheckResult] = []
     results: dict = {}
     if target == "theorem1":
+        if args.nmax < 0:
+            raise _InputError("theorem1 check needs --nmax >= 0")
         report = oracle.verify_clique_formula(args.nmax)
         checks = list(report.entries)
         results["pairs_checked"] = len(checks)
@@ -219,6 +221,8 @@ def _cmd_check(args, out, err) -> int:
                 for g in oracle.enumerate_graphs(args.nmax):
                     fh.write(serialize_graph6(g) + "\n")
     elif target == "theorem2":
+        if args.kmax < 1:
+            raise _InputError("theorem2 check needs --kmax >= 1")
         report = qfunction.check_three_parts_suffice(args.kmax)
         checks = list(report.entries)
         results["indeterminate_k"] = list(report.indeterminate)
@@ -245,8 +249,8 @@ def _cmd_check(args, out, err) -> int:
             checks.append(CheckResult("external-witness", FAIL, note))
         results["witnesses_verified"] = verified
     elif target == "gap":
-        if args.nmax > 8:
-            raise _InputError("gap check is exhaustive; supports --nmax <= 8")
+        if not 1 <= args.nmax <= 8:
+            raise _InputError("gap check is exhaustive; supports 1 <= --nmax <= 8")
         for n in range(1, args.nmax + 1):
             brute = oracle.brute_gap(n)
             table = oracle.brute_q_table(n)
@@ -264,7 +268,7 @@ def _cmd_check(args, out, err) -> int:
                 ))
     else:
         raise _InputError(f"unknown check target {target!r}")
-    inputs = {"target": target, "nmax": args.nmax, "kmax": args.kmax, "jobs": args.jobs}
+    inputs = {"target": target, "nmax": args.nmax, "kmax": args.kmax}
     return _emit(f"check {target}", inputs, results, checks, started, out, err)
 
 
@@ -296,8 +300,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("target", choices=("theorem1", "theorem2", "catalog", "gap"))
     p.add_argument("--nmax", type=int, default=8)
     p.add_argument("--kmax", type=int, default=22)
-    p.add_argument("--jobs", type=int, default=1,
-                   help="accepted for compatibility; runs single-threaded")
     p.add_argument("--dump-csv", help="theorem1: write the (n, c, Q) table as CSV")
     p.add_argument("--dump-graph6", help="theorem1: write enumerated graphs as graph6 lines")
     p.set_defaults(func=_cmd_check)
@@ -323,9 +325,6 @@ def main(argv=None, out=sys.stdout, err=sys.stderr) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_INPUT_ERROR if exc.code else EXIT_OK
-    if args.command == "check" and args.jobs < 1:
-        err.write("error: --jobs must be positive\n")
-        return EXIT_INPUT_ERROR
     try:
         return args.func(args, out, err)
     except (_InputError, PreconditionError, UnsupportedWitnessError, ValueError) as exc:

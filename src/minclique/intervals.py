@@ -2,9 +2,8 @@
 
 Quantities that depend on Ramsey numbers whose exact value is open are
 carried as intervals; exactly known values are degenerate intervals with
-lo == hi.  Addition and subtraction are exact interval arithmetic; min and
-max act endpointwise, which is the right fold for "minimum over choices
-each of which is only known up to an interval".
+lo == hi.  Addition and subtraction are exact interval arithmetic; max
+acts endpointwise.
 """
 
 from __future__ import annotations
@@ -44,23 +43,10 @@ class IntInterval:
     def __rsub__(self, other: int) -> "IntInterval":
         return IntInterval.point(other) - self
 
-    def __contains__(self, value: int) -> bool:
-        return self.lo <= value <= self.hi
-
-    def as_pair(self) -> tuple[int, int]:
-        return (self.lo, self.hi)
-
     def __str__(self) -> str:
         if self.exact:
             return str(self.lo)
         return f"[{self.lo}, {self.hi}]"
-
-
-def interval_min(*items: IntInterval) -> IntInterval:
-    """Endpointwise minimum: [min of lows, min of highs]."""
-    if not items:
-        raise ValueError("interval_min of no intervals")
-    return IntInterval(min(i.lo for i in items), min(i.hi for i in items))
 
 
 def interval_max(*items: IntInterval) -> IntInterval:

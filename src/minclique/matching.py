@@ -5,12 +5,12 @@ shrinking) algorithm in its contracted-base formulation: a BFS forest of
 alternating paths, with odd cycles collapsed by rerooting every member's
 `base` pointer at the cycle's least common ancestor.  O(V^3), exact.
 
-The decomposition D / A / C is computed from the direct characterization:
-v lies in D iff deleting v does not drop the matching number, A is the
-outside neighborhood of D, C is everything else.  That is n+1 matching
-runs, which is nothing at n <= 64, and it doubles as an independent check
-on the blossom code because the structure theorem's invariants (factor-
-critical D-components, the deficiency count) are asserted in the tests.
+The decomposition D / A / C is read off one maximum matching: against it
+the search from each exposed vertex fails, marking exactly the vertices an
+even alternating path reaches, and D (the vertices some maximum matching
+misses) is the union of those marks.  A is the outside neighborhood of D, C
+is everything else.  The tests check D against the direct characterization,
+v in D iff deleting v does not drop the matching number.
 
 `verify_complement_partition` checks, on a concrete graph with independence
 number 2, the bullet-point properties of the partition of the complement
@@ -41,23 +41,21 @@ class Matching:
     def size(self) -> int:
         return len(self.pairs)
 
-    def covered(self) -> frozenset[int]:
-        return frozenset(v for pair in self.pairs for v in pair)
-
 
 def max_matching(g: Graph) -> Matching:
-    mate = _blossom_mates(g)
-    pairs = frozenset((v, mate[v]) for v in range(g.n) if 0 <= v < mate[v])
-    return Matching(pairs)
+    return _pairs(_maximum_mates([tuple(bits(row)) for row in g.adj]))
 
 
 def matching_number(g: Graph) -> int:
     return max_matching(g).size
 
 
-def _blossom_mates(g: Graph) -> list[int]:
-    n = g.n
-    neighbors = [tuple(bits(row)) for row in g.adj]
+def _pairs(mate: list[int]) -> Matching:
+    return Matching(frozenset((v, u) for v, u in enumerate(mate) if 0 <= v < u))
+
+
+def _maximum_mates(neighbors: list[tuple[int, ...]]) -> list[int]:
+    n = len(neighbors)
     mate = [-1] * n
     for v in range(n):  # greedy seed
         if mate[v] < 0:
@@ -66,7 +64,17 @@ def _blossom_mates(g: Graph) -> list[int]:
                     mate[v] = u
                     mate[u] = v
                     break
+    for v in range(n):
+        if mate[v] < 0:
+            _search(neighbors, mate, v)
+    return mate
 
+
+def _search(neighbors: list[tuple[int, ...]], mate: list[int], root: int) -> list[bool] | None:
+    """Grow an alternating tree from the exposed vertex `root`: flip the first
+    augmenting path into `mate` and return None, or return the outer marks,
+    True exactly where an even alternating path from `root` reaches."""
+    n = len(neighbors)
     parent = [-1] * n
     base = list(range(n))
 
@@ -92,50 +100,41 @@ def _blossom_mates(g: Graph) -> list[int]:
             child = mate[v]
             v = parent[mate[v]]
 
-    def augment_from(root: int) -> bool:
-        nonlocal parent, base
-        seen = [False] * n
-        parent = [-1] * n
-        base = list(range(n))
-        seen[root] = True
-        queue = deque([root])
-        while queue:
-            v = queue.popleft()
-            for to in neighbors[v]:
-                if base[v] == base[to] or mate[v] == to:
-                    continue
-                if to == root or (mate[to] >= 0 and parent[mate[to]] >= 0):
-                    # odd cycle through the forest: shrink the blossom
-                    cur = lca(v, to)
-                    in_blossom = [False] * n
-                    mark_path(v, cur, to, in_blossom)
-                    mark_path(to, cur, v, in_blossom)
-                    for i in range(n):
-                        if in_blossom[base[i]]:
-                            base[i] = cur
-                            if not seen[i]:
-                                seen[i] = True
-                                queue.append(i)
-                elif parent[to] < 0:
-                    parent[to] = v
-                    if mate[to] < 0:
-                        # augmenting path found: flip along the parents
-                        u = to
-                        while u >= 0:
-                            pv = parent[u]
-                            nxt = mate[pv]
-                            mate[u] = pv
-                            mate[pv] = u
-                            u = nxt
-                        return True
-                    seen[mate[to]] = True
-                    queue.append(mate[to])
-        return False
-
-    for v in range(n):
-        if mate[v] < 0:
-            augment_from(v)
-    return mate
+    outer = [False] * n
+    outer[root] = True
+    queue = deque([root])
+    while queue:
+        v = queue.popleft()
+        for to in neighbors[v]:
+            if base[v] == base[to] or mate[v] == to:
+                continue
+            if to == root or (mate[to] >= 0 and parent[mate[to]] >= 0):
+                # odd cycle through the forest: shrink the blossom
+                cur = lca(v, to)
+                in_blossom = [False] * n
+                mark_path(v, cur, to, in_blossom)
+                mark_path(to, cur, v, in_blossom)
+                for i in range(n):
+                    if in_blossom[base[i]]:
+                        base[i] = cur
+                        if not outer[i]:
+                            outer[i] = True
+                            queue.append(i)
+            elif parent[to] < 0:
+                parent[to] = v
+                if mate[to] < 0:
+                    # augmenting path found: flip along the parents
+                    u = to
+                    while u >= 0:
+                        pv = parent[u]
+                        nxt = mate[pv]
+                        mate[u] = pv
+                        mate[pv] = u
+                        u = nxt
+                    return None
+                outer[mate[to]] = True
+                queue.append(mate[to])
+    return outer
 
 
 @dataclass(frozen=True)
@@ -152,23 +151,20 @@ class EGDecomposition:
     matching: Matching
     components_of_d: tuple[frozenset[int], ...]
 
-    @property
-    def deficiency(self) -> int:
-        return len(self.d) + len(self.a) + len(self.c) - 2 * self.matching.size
-
 
 def edmonds_gallai(g: Graph) -> EGDecomposition:
-    nu = matching_number(g)
-    everyone = range(g.n)
+    neighbors = [tuple(bits(row)) for row in g.adj]
+    mate = _maximum_mates(neighbors)
+    # the matching is maximum, so every search fails and only marks
     d = frozenset(
-        v for v in everyone
-        if matching_number(induced_subgraph(g, set(everyone) - {v})) == nu
+        v for root in range(g.n) if mate[root] < 0
+        for v, even in enumerate(_search(neighbors, mate, root)) if even
     )
     a = frozenset(
-        u for v in d for u in bits(g.adj[v]) if u not in d
+        u for v in d for u in neighbors[v] if u not in d
     )
-    c = frozenset(everyone) - d - a
-    return EGDecomposition(d, a, c, max_matching(g), _components_within(g, d))
+    c = frozenset(range(g.n)) - d - a
+    return EGDecomposition(d, a, c, _pairs(mate), _components_within(g, d))
 
 
 def _components_within(g: Graph, vertex_set: frozenset[int]) -> tuple[frozenset[int], ...]:
@@ -226,21 +222,22 @@ def verify_complement_partition(g: Graph, k: int) -> ComplementPartitionReport:
     """Check the structure of the complement of an alpha=2 graph whose
     chromatic number is n - k, bullet by bullet.
 
-    Preconditions (alpha(g) = 2 and chi(g) = n - k) are verified with the
-    exact solvers and reported as a PreconditionError, never as a failed
-    bullet.
+    Preconditions (alpha(g) = 2 and chi(g) = n - k) are verified exactly
+    and reported as a PreconditionError, never as a failed bullet.  With
+    alpha = 2 every colour class is an edge of the complement or a single
+    vertex, so chi = n - nu(complement) (Gallai), read off the matching the
+    decomposition already holds.
     """
     alpha = solvers.independence_number(g)
     if alpha != 2:
         raise PreconditionError(f"independence number is {alpha}, need exactly 2")
-    chi = solvers.chromatic_number(g)
+    gbar = complement(g)
+    decomp = edmonds_gallai(gbar)
+    chi = g.n - decomp.matching.size
     if chi != g.n - k:
         raise PreconditionError(
             f"chromatic number is {chi}, need n - k = {g.n} - {k} = {g.n - k}"
         )
-
-    gbar = complement(g)
-    decomp = edmonds_gallai(gbar)
     isolated = frozenset(v for v in range(gbar.n) if gbar.adj[v] == 0)
     separator = decomp.a
     rest = frozenset(range(gbar.n)) - separator - isolated

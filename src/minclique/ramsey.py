@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import logging
 import os
-from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
 
@@ -47,7 +46,6 @@ WITNESS_DIR_ENV = "RAMSEY_WITNESS_DIR"
 # Exact values R(3, ell) for ell = 1..9, then published brackets.
 _EXACT_R3 = (1, 3, 6, 9, 14, 18, 23, 28, 36)
 _BRACKETED_R3 = {10: (40, 43), 11: (46, 51)}
-_LAST_TABULATED = 11
 
 
 @lru_cache(maxsize=None)
@@ -75,17 +73,6 @@ def small_omega(x: int) -> IntInterval:
     while r3(hi + 1).lo <= x:
         hi += 1
     return IntInterval(lo, hi)
-
-
-@dataclass(frozen=True)
-class RamseyEntry:
-    """Row of the catalog: bounds for R(3, ell) plus an optional verified
-    witness on bounds.lo - 1 vertices with clique number ell - 1 and
-    independence number at most 2."""
-
-    ell: int
-    bounds: IntInterval
-    witness: Graph | None = None
 
 
 # Classic lower-bound constructions, stored as their triangle-free side and
@@ -182,19 +169,6 @@ class WitnessCatalog:
     def base_sizes(self) -> tuple[int, ...]:
         return tuple(sorted(self._bases))
 
-    def entries(self) -> list[RamseyEntry]:
-        """One row per tabulated ell, with the witness where the catalog
-        holds a graph on exactly R(3, ell).lo - 1 vertices."""
-        rows = []
-        for ell in range(1, _LAST_TABULATED + 1):
-            bounds = r3(ell)
-            size = bounds.lo - 1
-            witness = self._bases.get(size)
-            if witness is not None and self._clique_of_base[size] != ell - 1:
-                witness = None
-            rows.append(RamseyEntry(ell, bounds, witness))
-        return rows
-
     def witness_alpha2(self, x: int) -> Graph:
         """A verified x-vertex graph with independence number <= 2 and the
         least possible clique number small_omega(x).
@@ -263,7 +237,3 @@ def default_catalog() -> WitnessCatalog:
     if _default_catalog is None:
         _default_catalog = WitnessCatalog(os.environ.get(WITNESS_DIR_ENV))
     return _default_catalog
-
-
-def witness_alpha2(x: int) -> Graph:
-    return default_catalog().witness_alpha2(x)

@@ -154,6 +154,13 @@ def test_bad_usage():
     assert code == 2
     code, _, _ = run_cli("check", "gap", "--nmax", "12")
     assert code == 2
+    # ranges that select no check are rejected, not passed vacuously
+    for argv in (("theorem1", "--nmax", "-1"), ("theorem2", "--kmax", "-3"),
+                 ("theorem2", "--kmax", "0"), ("gap", "--nmax", "-2"), ("gap", "--nmax", "0")):
+        code, payload, err = run_cli("check", *argv)
+        assert code == 2 and payload is None and "error" in err
+    code, _, _ = run_cli("check", "theorem2", "--jobs", "2")
+    assert code == 2
 
 
 def test_witness_dir_env_and_failure_exit(tmp_path, monkeypatch):

@@ -15,6 +15,7 @@ from minclique import (
     relabel,
     verify_complement_partition,
 )
+from minclique import solvers
 from minclique.oracle import enumerate_graphs
 
 import brute
@@ -58,6 +59,45 @@ def test_matching_relabel_invariant(petersen, c5):
             perm = list(range(g.n))
             rng.shuffle(perm)
             assert matching_number(relabel(g, perm)) == nu
+
+
+def _nx_matching_number(g):
+    nx = pytest.importorskip("networkx")
+    h = nx.Graph()
+    h.add_nodes_from(range(g.n))
+    h.add_edges_from(g.edges())
+    return len(nx.max_weight_matching(h, maxcardinality=True))
+
+
+def test_matching_matches_networkx_random():
+    rng = random.Random(64)
+    for _ in range(60):
+        g = random_graph(rng, rng.randrange(1, 65), rng.random() ** 2)
+        assert matching_number(g) == _nx_matching_number(g)
+
+
+def _d_by_deletion(g, nu_of):
+    """D by its direct characterization: v in D iff nu(G - v) = nu(G)."""
+    nu = nu_of(g)
+    return frozenset(
+        v for v in range(g.n)
+        if nu_of(induced_subgraph(g, set(range(g.n)) - {v})) == nu
+    )
+
+
+def test_edmonds_gallai_d_matches_bruteforce():
+    rng = random.Random(29)
+    graphs = [g for n in range(7) for g in enumerate_graphs(n)]
+    graphs += [random_graph(rng, rng.randrange(1, 11), rng.random()) for _ in range(200)]
+    for g in graphs:
+        assert edmonds_gallai(g).d == _d_by_deletion(g, brute.matching_number)
+
+
+def test_edmonds_gallai_d_matches_networkx():
+    rng = random.Random(40)
+    for _ in range(20):
+        g = random_graph(rng, rng.randrange(11, 41), rng.random() ** 2)
+        assert edmonds_gallai(g).d == _d_by_deletion(g, _nx_matching_number)
 
 
 def test_edmonds_gallai_examples(c5, k4):
@@ -131,6 +171,16 @@ def test_partition_report_with_separator():
     assert report.passed
     assert report.separator == frozenset({0})
     assert report.isolated == frozenset({4})
+
+
+def test_partition_takes_chi_from_matching(monkeypatch, c5):
+    def forbidden(g):
+        raise AssertionError("chromatic_number called")
+
+    monkeypatch.setattr(solvers, "chromatic_number", forbidden)
+    assert verify_complement_partition(c5, 2).passed
+    with pytest.raises(PreconditionError, match="chromatic number is 3"):
+        verify_complement_partition(c5, 3)
 
 
 def test_partition_precondition_errors(petersen, k4):

@@ -110,14 +110,6 @@ def test_witness_unsupported(catalog):
         catalog.witness_alpha2(0)
 
 
-def test_catalog_entries(catalog):
-    rows = {e.ell: e for e in catalog.entries()}
-    assert rows[3].witness is not None and rows[3].witness.n == 5
-    assert rows[6].witness is not None and rows[6].witness.n == 17
-    assert rows[10].bounds == IntInterval(40, 43)
-    assert rows[10].witness is None
-
-
 def test_external_witness_ingestion(tmp_path, catalog, c5):
     good = catalog.witness_alpha2(18)
     (tmp_path / "18.g6").write_text(serialize_graph6(good) + "\n")
