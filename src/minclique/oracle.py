@@ -7,6 +7,24 @@ and the results are deduplicated at level n+1 by a canonical form.  The
 class counts 1, 1, 2, 4, 11, 34, 156, 1044, 12346 for n = 0..8 are asserted
 by the tests, which pins the whole pipeline.
 
+Before a child is canonicalised it must pass a canonical-deletion filter
+(McKay, "Isomorph-free exhaustive generation", J. Algorithms 26, 1998): its
+new vertex must have the maximal vertex key (below) among all n + 1
+vertices.  Degrees are tested first, from the parent's degrees and the mask
+bits, which rejects most children before any tuple is built; the full keys
+of a survivor are computed once and reused by the canonical form.  The
+filter is sound.  Take any class at level n + 1, a member G of it, and a
+vertex v of G with the maximal key.  G - v is isomorphic to some level-n
+representative P, because level n is complete.  So the child of P whose
+mask is v's neighborhood is isomorphic to G, and its new vertex has key(v),
+which is the maximum.  Every class therefore keeps at least one child, and
+the canonical-form dict still removes the duplicates among the survivors.
+
+Representatives are deterministic: each class is represented by its first
+surviving child in parent order, then mask order.  They are not the members
+the unfiltered enumeration kept, so `check theorem1 --dump-graph6` lists
+other graph6 lines for the same classes.
+
 The canonical form is the lexicographically minimal upper-triangle bit
 string (column order, the graph6 layout) over all vertex orderings that
 list a cheap isomorphism-invariant vertex key (degree, then sorted
@@ -60,12 +78,14 @@ def _vertex_keys(n: int, adj: tuple[int, ...] | list[int]) -> list[tuple]:
     ]
 
 
-def _canonical_columns(n: int, adj) -> tuple[int, ...]:
+def _canonical_columns(n: int, adj, keys: list[tuple] | None = None) -> tuple[int, ...]:
     """Columns of the minimal bit string; column j has j bits, the
-    adjacency of position j to positions 0..j-1 (most significant first)."""
+    adjacency of position j to positions 0..j-1 (most significant first).
+    `keys`, when given, must be `_vertex_keys(n, adj)`."""
     if n <= 1:
         return ()
-    keys = _vertex_keys(n, adj)
+    if keys is None:
+        keys = _vertex_keys(n, adj)
     order = sorted(range(n), key=lambda v: (keys[v], v))
     groups: list[list[int]] = []
     for v in order:
@@ -130,13 +150,25 @@ def _ensure_level(n: int) -> None:
         m = len(_levels) - 1
         seen: dict[tuple[int, ...], tuple[int, ...]] = {}
         for rows in prev:
+            # popcount(mask) >= degs[v] + (mask >> v & 1) for every v holds
+            # iff the new degree exceeds the parent's maximum degree, or
+            # equals it and the mask avoids every vertex of that degree
+            degs = [popcount(row) for row in rows]
+            top = max(degs, default=0)
+            top_mask = sum(1 << v for v, d in enumerate(degs) if d == top)
             for mask in range(1 << m):
+                d = popcount(mask)
+                if d < top or (d == top and mask & top_mask):
+                    continue
                 child = tuple(
                     row | ((mask >> v & 1) << m) for v, row in enumerate(rows)
                 ) + (mask,)
-                key = _canonical_columns(m + 1, child)
-                if key not in seen:
-                    seen[key] = child
+                keys = _vertex_keys(m + 1, child)
+                if keys[m] < max(keys):
+                    continue
+                form = _canonical_columns(m + 1, child, keys)
+                if form not in seen:
+                    seen[form] = child
         _levels.append(list(seen.values()))
 
 

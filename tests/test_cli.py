@@ -1,5 +1,9 @@
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 from minclique import parse_graph6, serialize_graph6
 from minclique.cli import main
@@ -183,3 +187,16 @@ def test_json_shape_roundtrip():
     code, payload, _ = run_cli("q", "7")
     assert set(payload) == {"command", "inputs", "results", "checks", "timing_ms"}
     assert json.loads(json.dumps(payload)) == payload
+
+
+def test_python_dash_m_entry_point():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run(
+        [sys.executable, "-m", "minclique", "q", "3"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    payload = json.loads(proc.stdout)
+    assert payload["results"]["q"] == [2, 2]

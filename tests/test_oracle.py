@@ -1,3 +1,6 @@
+import itertools
+import random
+
 import pytest
 
 from minclique import (
@@ -11,6 +14,7 @@ from minclique import (
     complete_graph,
     count_graphs,
     enumerate_graphs,
+    from_edges,
     relabel,
 )
 from minclique.oracle import (
@@ -21,6 +25,7 @@ from minclique.oracle import (
 )
 
 import brute
+from conftest import random_graph
 
 
 def test_counts_small():
@@ -42,13 +47,74 @@ def test_capacity_error():
 
 
 def test_representatives_are_pairwise_nonisomorphic():
-    forms = [canonical_form(g) for g in enumerate_graphs(5)]
-    assert len(set(forms)) == len(forms) == 34
+    forms = [canonical_form(g) for g in enumerate_graphs(7)]
+    assert len(set(forms)) == len(forms) == 1044
+
+
+def test_every_labelled_graph_on_5_vertices_is_represented():
+    # all 2^10 labelled graphs, no augmentation involved
+    pairs = list(itertools.combinations(range(5), 2))
+    labelled = {
+        canonical_form(from_edges(5, [e for i, e in enumerate(pairs) if mask >> i & 1]))
+        for mask in range(1 << len(pairs))
+    }
+    assert labelled == {canonical_form(g) for g in enumerate_graphs(5)}
+
+
+def _to_networkx(nx, g):
+    h = nx.Graph()
+    h.add_nodes_from(range(g.n))
+    h.add_edges_from(g.edges())
+    return h
+
+
+def test_classes_match_networkx_atlas():
+    nx = pytest.importorskip("networkx")
+    atlas: dict[int, set] = {}
+    for h in nx.graph_atlas_g():
+        h = nx.convert_node_labels_to_integers(h)
+        g = from_edges(h.number_of_nodes(), h.edges())
+        atlas.setdefault(g.n, set()).add(canonical_form(g))
+    assert sum(map(len, atlas.values())) == 1253
+    for n in range(8):
+        assert atlas[n] == {canonical_form(g) for g in enumerate_graphs(n)}
+
+
+def _swap_edges(rng, g):
+    """Degree-preserving double edge swap: uv, xy -> uy, xv when possible."""
+    edges = g.edges()
+    for _ in range(20):
+        (u, v), (x, y) = rng.sample(edges, 2)
+        if rng.random() < 0.5:
+            x, y = y, x
+        if len({u, v, x, y}) == 4 and not g.has_edge(u, y) and not g.has_edge(x, v):
+            rest = [e for e in edges if e not in ((u, v), (x, y), (y, x))]
+            return from_edges(g.n, rest + [(u, y), (x, v)])
+    return None
+
+
+def test_canonical_form_agrees_with_networkx_isomorphism():
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(53)
+    verdicts = set()
+    for _ in range(150):
+        n = rng.randint(6, 8)
+        a = random_graph(rng, n, rng.uniform(0.2, 0.8))
+        perm = list(range(n))
+        rng.shuffle(perm)
+        others = [relabel(a, perm), random_graph(rng, n, 0.5)]
+        if a.num_edges >= 2:
+            others.append(_swap_edges(rng, a))
+        for b in others:
+            if b is None:
+                continue
+            same = nx.is_isomorphic(_to_networkx(nx, a), _to_networkx(nx, b))
+            assert (canonical_form(a) == canonical_form(b)) == same
+            verdicts.add(same)
+    assert verdicts == {True, False}
 
 
 def test_canonical_form_invariance():
-    import random
-
     rng = random.Random(31)
     for g in list(enumerate_graphs(5)) + list(enumerate_graphs(6))[:40]:
         perm = list(range(g.n))
