@@ -23,7 +23,6 @@ from .errors import (
     UnsupportedWitnessError,
 )
 from .graphs import (
-    CirculantSpec,
     Graph,
     circulant,
     complement,

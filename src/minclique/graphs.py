@@ -173,34 +173,14 @@ def relabel(g: Graph, perm: Sequence[int]) -> Graph:
     return _from_rows(g.n, rows)
 
 
-@dataclass(frozen=True)
-class CirculantSpec:
-    """Circulant graph on n vertices: i ~ j iff the cyclic distance of i, j
-    is one of `connections` (each between 1 and n // 2)."""
-
-    n: int
-    connections: frozenset[int]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "connections", frozenset(self.connections))
-        for d in self.connections:
-            if not 1 <= d <= self.n // 2:
-                raise InvalidEdgeError(
-                    f"connection distance {d} invalid for n={self.n}"
-                )
-
-    def graph(self) -> Graph:
-        return circulant(self.n, self.connections)
-
-
 def circulant(n: int, connections: Iterable[int]) -> Graph:
-    """Circulant graph: vertex i adjacent to (i +/- d) mod n for each distance d."""
-    spec = CirculantSpec(n, frozenset(connections))
-    edges = []
-    for i in range(n):
-        for d in spec.connections:
-            edges.append((i, (i + d) % n))
-    return from_edges(n, ((min(u, v), max(u, v)) for u, v in edges if u != v))
+    """Circulant graph: vertex i adjacent to (i +/- d) mod n for each
+    distance d in `connections` (each between 1 and n // 2)."""
+    connections = frozenset(connections)
+    for d in connections:
+        if not 1 <= d <= n // 2:
+            raise InvalidEdgeError(f"connection distance {d} invalid for n={n}")
+    return from_edges(n, ((i, (i + d) % n) for i in range(n) for d in connections))
 
 
 # ---------------------------------------------------------------------------

@@ -10,12 +10,13 @@ small_omega(x) inverts the table: the least clique number possible on x
 vertices when no three vertices are pairwise nonadjacent.  It is exact
 wherever x falls between two exactly known Ramsey values.
 
-The catalog stores the classic cyclic constructions that meet the known
-lower bounds (on 5, 8, 13, and 17 vertices, as complements of triangle-free
-circulants) and derives witnesses for the in-between sizes.  Nothing is
-trusted: every graph the catalog hands out is re-verified by the exact
-solvers, and external graph6 witnesses are rejected with a diagnostic if
-they fail verification.
+The catalog stores the complements of the triangle-free graphs that meet
+the lower bounds for R(3, 2..6) (on 2, 5, 8, 13 and 17 vertices) and
+derives witnesses for the in-between sizes.  Nothing is trusted: built-in
+and external graph6 witnesses alike are admitted only if small_omega(n) is
+exact (n <= 39), their independence number is at most 2 and their clique
+number equals small_omega(n); external files that fail are rejected with a
+diagnostic.  Every derived graph is re-verified before it is handed out.
 """
 
 from __future__ import annotations
@@ -27,11 +28,10 @@ from pathlib import Path
 
 from .errors import UnsupportedWitnessError
 from .graphs import (
-    CirculantSpec,
     Graph,
+    circulant,
     complement,
     complete_graph,
-    empty_graph,
     induced_subgraph,
     join,
     parse_graph6,
@@ -75,24 +75,14 @@ def small_omega(x: int) -> IntInterval:
     return IntInterval(lo, hi)
 
 
-# Classic lower-bound constructions, stored as their triangle-free side and
-# complemented at load so the stored graph has independence number <= 2.
+# Triangle-free sides of the classic lower-bound graphs for R(3, 2..6), on
+# R(3, ell) - 1 vertices.  Each is complemented at load, so the stored graph
+# has independence number <= 2 and clique number small_omega(n) = ell - 1.
 # The 5/8/13-vertex ones are the classic cyclic graphs.  No 17-vertex
 # circulant is triangle-free with independence number 5 (exhaustive check
 # over all connection sets), so that witness is a frozen graph6 literal,
-# found by local search and verified like everything else at load.
+# found by local search and admitted like everything else.
 _G17_TRIANGLE_FREE = "P??_eM_d?[HU}?OI[@?qBIcO"
-_BUILTIN_WITNESSES: tuple[tuple[int, int, CirculantSpec | str | None, bool], ...] = (
-    # (ell, vertex count, triangle-free side, complemented?)
-    (1, 0, None, False),
-    (2, 2, CirculantSpec(2, frozenset({1})), True),
-    (3, 5, CirculantSpec(5, frozenset({1})), False),
-    (4, 8, CirculantSpec(8, frozenset({1, 4})), True),
-    (5, 13, CirculantSpec(13, frozenset({1, 5})), True),
-    (6, 17, _G17_TRIANGLE_FREE, True),
-)
-
-MAX_WITNESS_VERTICES = 35
 
 
 class WitnessCatalog:
@@ -100,35 +90,33 @@ class WitnessCatalog:
 
     Built-in witnesses cover clique numbers up to 5 (17 vertices); larger
     ones (22, 27, 35 vertices) may be supplied as graph6 files in a
-    directory, named by vertex count ("22.g6").  Files that fail to parse
-    or to verify are skipped and recorded in `diagnostics`.
+    directory, named by vertex count ("22.g6").  Built-in and external
+    graphs go through the same admission check (see `_admit`).  Files that
+    fail to parse or to verify are skipped and recorded in `diagnostics`.
     """
 
     def __init__(self, witness_dir: str | Path | None = None):
-        self._bases: dict[int, Graph] = {}  # vertex count -> verified graph
-        self._clique_of_base: dict[int, int] = {}
+        self._bases: dict[int, Graph] = {}  # vertex count -> admitted graph
+        self._invariants: dict[int, tuple[int, int]] = {}  # vertex count -> (omega, alpha)
         self._witness_cache: dict[int, Graph] = {}
         self.diagnostics: list[str] = []
-        for ell, size, spec, complemented in _BUILTIN_WITNESSES:
-            if spec is None:
-                graph = empty_graph(size)
-            else:
-                graph = spec.graph() if isinstance(spec, CirculantSpec) else parse_graph6(spec)
-                if complemented:
-                    graph = complement(graph)
-            self._admit(graph, size, ell - 1, f"built-in witness for ell={ell}")
+        for side in (circulant(2, {1}), circulant(5, {2}), circulant(8, {1, 4}),
+                     circulant(13, {1, 5}), parse_graph6(_G17_TRIANGLE_FREE)):
+            self._admit(complement(side), f"built-in witness on {side.n} vertices")
         if witness_dir is not None:
             self._load_external(Path(witness_dir))
 
-    def _admit(self, graph: Graph, size: int, expected_clique: int, source: str) -> None:
-        if graph.n != size:
-            raise AssertionError(f"{source}: size mismatch")
-        self._verify(graph, expected_clique, source)
-        self._bases[size] = graph
-        self._clique_of_base[size] = expected_clique
+    def _admit(self, graph: Graph, source: str) -> None:
+        """Store graph as the base for its vertex count if small_omega(n) is
+        exact, alpha <= 2 and omega equals it; raise ValueError otherwise."""
+        target = small_omega(graph.n)
+        if not target.exact:
+            raise ValueError(f"clique target for {graph.n} vertices is not exact")
+        self._invariants[graph.n] = self._verify(graph, target.lo, source)
+        self._bases[graph.n] = graph
 
     @staticmethod
-    def _verify(graph: Graph, expected_clique: int, source: str) -> None:
+    def _verify(graph: Graph, expected_clique: int, source: str) -> tuple[int, int]:
         alpha = solvers.independence_number(graph)
         if alpha > 2:
             raise ValueError(f"{source}: independence number {alpha} > 2")
@@ -137,6 +125,7 @@ class WitnessCatalog:
             raise ValueError(
                 f"{source}: clique number {omega}, expected {expected_clique}"
             )
+        return omega, alpha
 
     def _load_external(self, directory: Path) -> None:
         if not directory.is_dir():
@@ -155,16 +144,10 @@ class WitnessCatalog:
                 graph = parse_graph6(path.read_text().strip().splitlines()[0])
                 if graph.n != size:
                     raise ValueError(f"file encodes {graph.n} vertices, name says {size}")
-                expected = small_omega(size)
-                if not expected.exact:
-                    raise ValueError(f"clique target for {size} vertices is not exact")
-                self._verify(graph, expected.lo, path.name)
+                self._admit(graph, path.name)
             except (ValueError, IndexError) as exc:
                 self.diagnostics.append(f"{path.name}: rejected: {exc}")
                 log.warning("rejected witness file %s: %s", path.name, exc)
-                continue
-            self._bases[size] = graph
-            self._clique_of_base[size] = small_omega(size).lo
 
     def base_sizes(self) -> tuple[int, ...]:
         return tuple(sorted(self._bases))
@@ -173,20 +156,19 @@ class WitnessCatalog:
         """A verified x-vertex graph with independence number <= 2 and the
         least possible clique number small_omega(x).
 
-        Stored witnesses are returned as-is.  Otherwise the graph is
-        derived: by joining dominating vertices onto a smaller base (each
+        Stored witnesses were verified at admission and are returned as-is.
+        Otherwise the graph is derived: by joining dominating vertices onto a smaller base (each
         added vertex raises the clique number by exactly one and cannot
         enlarge an independent set), or, where no base lines up, as an
         induced subgraph of the next stored witness (which cannot lower
         the clique number below small_omega(x)).  Either way the result is
-        re-verified before it is returned.
+        re-verified before it is returned.  Sizes are bounded only by
+        small_omega(x) being exact (x <= 39) and by the stored bases.
         """
         if x < 1:
             raise UnsupportedWitnessError(f"need x >= 1, got {x}")
-        if x > MAX_WITNESS_VERTICES:
-            raise UnsupportedWitnessError(
-                f"x = {x} outside the supported range 1..{MAX_WITNESS_VERTICES}"
-            )
+        if x in self._bases:
+            return self._bases[x]
         if x in self._witness_cache:
             return self._witness_cache[x]
         target = small_omega(x)
@@ -206,11 +188,9 @@ class WitnessCatalog:
         return graph
 
     def _construct(self, x: int, w: int) -> Graph | None:
-        if x in self._bases and self._clique_of_base[x] == w:
-            return self._bases[x]
         # dominating augmentation: base on fewer vertices, smaller clique
         candidates = [
-            size for size, wb in self._clique_of_base.items()
+            size for size, (wb, _) in self._invariants.items()
             if size < x and wb + (x - size) == w
         ]
         if candidates:
@@ -218,7 +198,7 @@ class WitnessCatalog:
             return join([base, complete_graph(x - base.n)])
         # induced subgraph of a bigger witness with the same clique number
         candidates = [
-            size for size, wb in self._clique_of_base.items()
+            size for size, (wb, _) in self._invariants.items()
             if size > x and wb == w
         ]
         if candidates:

@@ -80,6 +80,19 @@ def test_classes_match_networkx_atlas():
         assert atlas[n] == {canonical_form(g) for g in enumerate_graphs(n)}
 
 
+def test_q_tables_match_networkx_atlas():
+    nx = pytest.importorskip("networkx")
+    tables: dict[int, dict[int, int]] = {}
+    for h in nx.graph_atlas_g():
+        h = nx.convert_node_labels_to_integers(h)
+        g = from_edges(h.number_of_nodes(), h.edges())
+        chi, omega = brute.chromatic_number(g), brute.clique_number(g)
+        table = tables.setdefault(g.n, {})
+        table[chi] = min(table.get(chi, omega), omega)
+    for n in range(8):
+        assert tables[n] == level_stats(n).min_clique_by_chi
+
+
 def _swap_edges(rng, g):
     """Degree-preserving double edge swap: uv, xy -> uy, xv when possible."""
     edges = g.edges()

@@ -120,6 +120,22 @@ def test_external_witness_ingestion(tmp_path, catalog, c5):
     assert loaded.witness_alpha2(18) == good  # served from storage, verified
 
 
+def test_external_35_vertex_base_serves_36(tmp_path):
+    # complement of the triangle-free C35(1, 7, 11, 16): omega 8, alpha 2
+    (tmp_path / "35.g6").write_text(
+        serialize_graph6(complement(circulant(35, {1, 7, 11, 16}))) + "\n"
+    )
+    loaded = WitnessCatalog(tmp_path)
+    assert not loaded.diagnostics
+    assert 35 in loaded.base_sizes()
+    g = loaded.witness_alpha2(36)  # one dominating vertex on the 35-vertex base
+    assert g.n == 36
+    assert clique_number(g) == 9 == small_omega(36).lo
+    assert independence_number(g) == 2
+    with pytest.raises(UnsupportedWitnessError):
+        loaded.witness_alpha2(40)  # small_omega(40) = [9, 10] is open
+
+
 def test_external_witness_rejection(tmp_path, c5):
     (tmp_path / "6.g6").write_text(serialize_graph6(c5) + "\n")  # wrong count
     (tmp_path / "3.g6").write_text(serialize_graph6(complement(c5)) + "\n")  # unparsable count mismatch
