@@ -159,16 +159,13 @@ def _cmd_compose(args, out, err) -> int:
     g2 = _load_graph(args.file2)
     clique1 = _parse_vertex_list(args.clique1)
     clique2 = _parse_vertex_list(args.clique2)
-    merged = constructions.compose_alpha2(
-        constructions.ComposeInput.build(g1, g2, clique1, clique2)
-    )
+    inp = constructions.ComposeInput.build(g1, g2, clique1, clique2)
+    merged, alpha = constructions._compose_alpha2(inp)
     g6 = serialize_graph6(merged)
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(g6 + "\n")
-    omega1 = solvers.clique_number(g1)
-    omega2 = solvers.clique_number(g2)
-    alpha = solvers.independence_number(merged)
+    omega1, omega2 = inp.omega1, inp.omega2
     # compose_alpha2 raises unless omega(merged) = omega1 + omega2
     results = {"graph6": g6, "n": merged.n, "omega": omega1 + omega2, "alpha": alpha}
     checks = [

@@ -34,12 +34,15 @@ from . import matching, solvers
 @dataclass(frozen=True)
 class ComposeInput:
     """Validated input for compose_alpha2: two alpha <= 2 graphs and one
-    clique in each, both of size omega(g2), with omega(g1) >= omega(g2)."""
+    clique in each, both of size omega(g2), with omega(g1) >= omega(g2);
+    both clique numbers are kept, so no caller solves them again."""
 
     g1: Graph
     g2: Graph
     clique1: tuple[int, ...]
     clique2: tuple[int, ...]
+    omega1: int
+    omega2: int
 
     @classmethod
     def build(
@@ -75,7 +78,7 @@ class ComposeInput:
                 )
             if not _is_clique(graph, clique):
                 raise PreconditionError(f"{name} {clique} is not a clique")
-        return cls(g1, g2, clique1, clique2)
+        return cls(g1, g2, clique1, clique2, omega1, omega2)
 
 
 def _is_clique(g: Graph, vertices) -> bool:
@@ -104,8 +107,14 @@ def _lex_first_clique(g: Graph, size: int) -> tuple[int, ...]:
 def compose_alpha2(inp: ComposeInput) -> Graph:
     """The merge described in the module docstring; output verified to have
     independence number <= 2 and clique number omega(g1) + omega(g2)."""
+    return _compose_alpha2(inp)[0]
+
+
+def _compose_alpha2(inp: ComposeInput) -> tuple[Graph, int]:
+    """compose_alpha2's graph together with the independence number it
+    verified."""
     g1, g2 = inp.g1, inp.g2
-    omega2 = len(inp.clique2)
+    omega1, omega2 = inp.omega1, inp.omega2
     n1, n2 = g1.n, g2.n
     total = n1 + n2 + omega2
     if total > MAX_VERTICES:
@@ -139,7 +148,6 @@ def compose_alpha2(inp: ComposeInput) -> Graph:
                 edges.append((off2 + b, r_of[i]))
     result = from_edges(total, edges)
 
-    omega1 = solvers.clique_number(g1)
     got_omega = solvers.clique_number(result)
     got_alpha = solvers.independence_number(result)
     if got_omega != omega1 + omega2 or got_alpha > 2:
@@ -147,7 +155,7 @@ def compose_alpha2(inp: ComposeInput) -> Graph:
             "internal error: composition verified wrong "
             f"(omega {got_omega} vs {omega1 + omega2}, alpha {got_alpha})"
         )
-    return result
+    return result, got_alpha
 
 
 @dataclass(frozen=True)

@@ -77,7 +77,7 @@ class Graph:
 
 
 def popcount(mask: int) -> int:
-    return bin(mask).count("1")
+    return mask.bit_count()
 
 
 def bits(mask: int) -> Iterable[int]:

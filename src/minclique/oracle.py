@@ -35,6 +35,20 @@ tree tiny for everything except highly regular graphs, which are rare.
 The minimization itself is a DFS that only ever extends a prefix by
 vertices whose next column is minimal, with a global best for pruning.
 
+The DFS also skips twins.  Vertices u and v are twins when their
+neighborhoods agree outside {u, v}: true twins (adjacent) have equal closed
+neighborhoods, false twins (not adjacent) equal open ones, and each kind
+is transitive.  A vertex v cannot have both a true twin w and a false twin
+x: w would be a neighbor of x, so x a neighbor of w, hence of v.  So being
+twins is an equivalence.  Swapping two twins is an automorphism that fixes
+every other vertex; if both are unplaced it fixes the placed prefix, so
+they have the same next column and their subtrees give the same column
+strings.  Trying only the first twin of each class at a position therefore
+leaves the minimum unchanged.  Twins share a key, so the key-monotone
+argument above is unchanged.  The pruning cuts the t! identical subtrees
+of t interchangeable vertices (isolated vertices, the parts of a complete
+multipartite graph) down to one.
+
 On top of the enumeration: the table of minimum clique number by chromatic
 number, its verification against the arithmetic formula, and the largest
 chi - omega excess.
@@ -93,6 +107,15 @@ def _canonical_columns(n: int, adj, keys: list[tuple] | None = None) -> tuple[in
             groups[-1].append(v)
         else:
             groups.append([v])
+    # twin[v] is the least vertex of v's twin class; twins share a key, so
+    # only members of one group need comparing
+    twin = list(range(n))
+    for group in groups:
+        for i, v in enumerate(group):
+            for u in group[:i]:
+                if twin[u] == u and adj[u] & ~(1 << v) == adj[v] & ~(1 << u):
+                    twin[v] = u
+                    break
 
     best: list[int] | None = None
 
@@ -120,9 +143,11 @@ def _canonical_columns(n: int, adj, keys: list[tuple] | None = None) -> tuple[in
                 return
             if cols == prefix and low > best[j]:
                 return
+        tried = 0  # bitmask of the twin classes already tried at position j
         for col, v in scored:
-            if col != low:
+            if col != low or tried >> twin[v] & 1:
                 continue
+            tried |= 1 << twin[v]
             placed.append(v)
             cols.append(col)
             if len(remaining) == 1:
@@ -217,8 +242,9 @@ def level_stats(n: int) -> LevelStats:
     count = 0
     for g in enumerate_graphs(n):
         count += 1
-        omega = solvers.clique_number(g)
-        chi = solvers.chromatic_number(g)
+        clique = solvers.max_clique(g)
+        omega = len(clique)
+        chi = solvers._chromatic_number(g, clique)
         max_gap = max(max_gap, chi - omega)
         if chi not in min_clique or omega < min_clique[chi]:
             min_clique[chi] = omega

@@ -35,9 +35,13 @@ def independence_number(g: Graph) -> int:
 
 
 def chromatic_number(g: Graph) -> int:
+    return _chromatic_number(g, max_clique(g))
+
+
+def _chromatic_number(g: Graph, clique: frozenset[int]) -> int:
+    """chi of g, given a maximum clique of it."""
     if g.n == 0:
         return 0
-    clique = max_clique(g)
     alpha = independence_number(g)
     lower = max(len(clique), -(-g.n // alpha))
     for k in range(lower, g.n + 1):

@@ -13,8 +13,10 @@ from minclique import (
     clique_number,
     complete_graph,
     count_graphs,
+    disjoint_union,
     enumerate_graphs,
     from_edges,
+    join,
     relabel,
 )
 from minclique.oracle import (
@@ -124,6 +126,61 @@ def test_canonical_form_agrees_with_networkx_isomorphism():
             same = nx.is_isomorphic(_to_networkx(nx, a), _to_networkx(nx, b))
             assert (canonical_form(a) == canonical_form(b)) == same
             verdicts.add(same)
+    assert verdicts == {True, False}
+
+
+def _sizes(rng, n, parts):
+    """A random composition of n into `parts` positive sizes."""
+    cuts = sorted(rng.sample(range(1, n), parts - 1))
+    return [b - a for a, b in zip([0] + cuts, cuts + [n])]
+
+
+def _blow_up(base, sizes, clique):
+    """Vertex i of base becomes sizes[i] vertices, independent or a clique;
+    the copies of two adjacent vertices are completely joined."""
+    start = list(itertools.accumulate(sizes, initial=0))
+    blocks = [range(start[i], start[i + 1]) for i in range(base.n)]
+    edges = []
+    for i, block in enumerate(blocks):
+        if clique:
+            edges += itertools.combinations(block, 2)
+        for j in base.neighbors(i):
+            if i < j:
+                edges += itertools.product(block, blocks[j])
+    return from_edges(start[-1], edges)
+
+
+def test_canonical_form_agrees_with_networkx_on_twin_heavy_graphs():
+    # many interchangeable vertices: the case twin pruning cuts short
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(61)
+    c5 = circulant(5, {1})
+    verdicts = set()
+    for n in range(6, 13):
+        family = [from_edges(n, []), complete_graph(n)]
+        for _ in range(2):
+            sizes = _sizes(rng, n, rng.randint(2, 5))
+            family.append(join([from_edges(s, []) for s in sizes]))  # complete multipartite
+            family.append(disjoint_union([complete_graph(s) for s in sizes]))
+        for clique in (False, True):
+            sizes = _sizes(rng, n, 5)
+            turned = sizes[2:] + sizes[:2]  # a rotation of C5: isomorphic
+            family += [_blow_up(c5, sizes, clique), _blow_up(c5, turned, clique),
+                       _blow_up(c5, rng.sample(sizes, 5), clique)]
+        for a in family:
+            swapped = _swap_edges(rng, a) if a.num_edges >= 2 else None
+            pairs = [(a, rng.choice(family)), (a, swapped)]
+            pairs += [(g, relabel(g, rng.sample(range(n), n)))
+                      for g in (a, swapped) if g is not None]
+            for g, h in pairs:
+                if h is None:
+                    continue
+                g_nx, h_nx = _to_networkx(nx, g), _to_networkx(nx, h)
+                # could_be_isomorphic (degrees, triangles, cliques) rules
+                # most pairs out at once; VF2 alone takes seconds on some
+                same = nx.could_be_isomorphic(g_nx, h_nx) and nx.is_isomorphic(g_nx, h_nx)
+                assert (canonical_form(g) == canonical_form(h)) == same
+                verdicts.add(same)
     assert verdicts == {True, False}
 
 

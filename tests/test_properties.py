@@ -1,5 +1,5 @@
-"""Hypothesis properties: the graph6 round trip, IntInterval arithmetic
-laws, and the invariants of compose_alpha2."""
+"""Hypothesis properties: popcount, the graph6 round trip, IntInterval
+arithmetic laws, and the invariants of compose_alpha2."""
 
 import pytest
 
@@ -17,10 +17,24 @@ from minclique import (
     serialize_graph6,
 )
 from minclique.constructions import ComposeInput, eq4_upper_bound
+from minclique.graphs import popcount
 from minclique.intervals import interval_max, interval_sum
 
 PROPERTY = settings(derandomize=True, deadline=None, database=None)
 CATALOG = WitnessCatalog()
+
+
+# -- popcount -------------------------------------------------------------------
+
+
+@PROPERTY
+@given(st.integers(0, 1 << 130))
+@example(0)
+@example((1 << 64) - 1)
+@example(1 << 64)
+@example((1 << 64) + 1)
+def test_popcount_counts_set_bits(x):
+    assert popcount(x) == bin(x).count("1")
 
 
 # -- graph6 ---------------------------------------------------------------------
