@@ -12,6 +12,10 @@ Commands:
     gap N [--mode M]        largest chi - omega on N vertices
     compose F1 F2 [...]     merge two alpha <= 2 graphs
 
+`main` parses (one parser per process), times, reports and maps errors to
+exit statuses; each command only computes.  `gap` picks its method here:
+the oracle up to `oracle.MAX_ENUM_VERTICES` vertices, the formula beyond.
+
 The RAMSEY_WITNESS_DIR environment variable may point at a directory of
 graph6 files (named "<vertex-count>.g6") with extra extremal witnesses.
 """
@@ -19,12 +23,13 @@ graph6 files (named "<vertex-count>.g6") with extra extremal witnesses.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
 
 from . import constructions, matching, oracle, qfunction, solvers
-from .errors import PreconditionError, UnsupportedWitnessError
+from .errors import UnsupportedWitnessError
 from .graphs import Graph, parse_graph6, serialize_graph6
 from .intervals import IntInterval
 from .ramsey import default_catalog
@@ -41,8 +46,12 @@ class _InputError(Exception):
     pass
 
 
+# what each _cmd_* returns for main to emit: command, inputs, results, checks
+_Report = tuple[str, dict, dict, list[CheckResult]]
+
+
 def _emit(command: str, inputs: dict, results: dict, checks: list[CheckResult],
-          started: float, out=sys.stdout, err=sys.stderr) -> int:
+          started: float, out, err) -> int:
     report = {
         "command": command,
         "inputs": inputs,
@@ -80,8 +89,15 @@ def _load_graph(path: str) -> Graph:
     raise _InputError(f"{path} contains no graph6 line")
 
 
-def _cmd_q(args, out, err) -> int:
-    started = time.perf_counter()
+def _write_text(path: str, text: str) -> None:
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise _InputError(f"cannot write {path}: {exc}") from exc
+
+
+def _cmd_q(args) -> _Report:
     value, cert = qfunction.q(args.k)
     results = {
         "q": _interval_json(value),
@@ -95,16 +111,14 @@ def _cmd_q(args, out, err) -> int:
             f"q({args.k})", INDETERMINATE,
             f"value depends on open Ramsey bounds; known to lie in {value}",
         ))
-    return _emit("q", {"k": args.k}, results, checks, started, out, err)
+    return "q", {"k": args.k}, results, checks
 
 
-def _cmd_witness(args, out, err) -> int:
-    started = time.perf_counter()
+def _cmd_witness(args) -> _Report:
     witness = constructions.build_extremal(args.n, args.k, default_catalog())
     g6 = serialize_graph6(witness.graph)
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(g6 + "\n")
+        _write_text(args.out, g6 + "\n")
     results = {
         "graph6": g6,
         "n": witness.n,
@@ -120,11 +134,10 @@ def _cmd_witness(args, out, err) -> int:
                     f"clique number {witness.omega} equals n - 2k + q(k) = "
                     f"{args.n} - {2 * args.k} + {witness.certificate.total.lo}"),
     ]
-    return _emit("witness", {"n": args.n, "k": args.k}, results, checks, started, out, err)
+    return "witness", {"n": args.n, "k": args.k}, results, checks
 
 
-def _cmd_verify(args, out, err) -> int:
-    started = time.perf_counter()
+def _cmd_verify(args) -> _Report:
     g = _load_graph(args.file)
     props = ALL_PROPS if args.props == "all" else tuple(p.strip() for p in args.props.split(","))
     results: dict = {"n": g.n, "edges": g.num_edges}
@@ -139,22 +152,22 @@ def _cmd_verify(args, out, err) -> int:
             results["nu"] = matching.matching_number(g)
         else:
             raise _InputError(f"unknown property {prop!r}; choose from {ALL_PROPS}")
-    return _emit("verify", {"file": args.file, "props": list(props)},
-                 results, [], started, out, err)
+    return "verify", {"file": args.file, "props": list(props)}, results, []
 
 
-def _cmd_gap(args, out, err) -> int:
-    started = time.perf_counter()
+def _cmd_gap(args) -> _Report:
     mode = args.mode
     if mode == "auto":
-        mode = "oracle" if args.n <= 8 else "formula"
-    value = constructions.chromatic_gap(args.n, mode)
+        mode = "oracle" if args.n <= oracle.MAX_ENUM_VERTICES else "formula"
+    if mode == "oracle":
+        value = IntInterval.point(oracle.brute_gap(args.n))
+    else:
+        value = constructions.chromatic_gap(args.n)
     results = {"gap": _interval_json(value), "mode": mode}
-    return _emit("gap", {"n": args.n, "mode": args.mode}, results, [], started, out, err)
+    return "gap", {"n": args.n, "mode": args.mode}, results, []
 
 
-def _cmd_compose(args, out, err) -> int:
-    started = time.perf_counter()
+def _cmd_compose(args) -> _Report:
     g1 = _load_graph(args.file1)
     g2 = _load_graph(args.file2)
     clique1 = _parse_vertex_list(args.clique1)
@@ -163,8 +176,7 @@ def _cmd_compose(args, out, err) -> int:
     merged, alpha = constructions._compose_alpha2(inp)
     g6 = serialize_graph6(merged)
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(g6 + "\n")
+        _write_text(args.out, g6 + "\n")
     omega1, omega2 = inp.omega1, inp.omega2
     # compose_alpha2 raises unless omega(merged) = omega1 + omega2
     results = {"graph6": g6, "n": merged.n, "omega": omega1 + omega2, "alpha": alpha}
@@ -180,8 +192,7 @@ def _cmd_compose(args, out, err) -> int:
             "size-bound", PASS if merged.n <= bound.lo else FAIL,
             f"|V| = {merged.n} <= R(3, omega1 + omega2 + 1) - 1 = {bound.lo}",
         ))
-    return _emit("compose", {"file1": args.file1, "file2": args.file2},
-                 results, checks, started, out, err)
+    return "compose", {"file1": args.file1, "file2": args.file2}, results, checks
 
 
 def _parse_vertex_list(text: str | None) -> tuple[int, ...] | None:
@@ -193,8 +204,7 @@ def _parse_vertex_list(text: str | None) -> tuple[int, ...] | None:
         raise _InputError(f"bad vertex list {text!r}: {exc}") from exc
 
 
-def _cmd_check(args, out, err) -> int:
-    started = time.perf_counter()
+def _cmd_check(args) -> _Report:
     target = args.target
     checks: list[CheckResult] = []
     results: dict = {}
@@ -213,12 +223,10 @@ def _cmd_check(args, out, err) -> int:
                 f"{got} isomorphism classes enumerated, published count is {want}",
             ))
         if args.dump_csv:
-            with open(args.dump_csv, "w") as fh:
-                fh.write(oracle.export_q_table_csv(args.nmax))
+            _write_text(args.dump_csv, oracle.export_q_table_csv(args.nmax))
         if args.dump_graph6:
-            with open(args.dump_graph6, "w") as fh:
-                for g in oracle.enumerate_graphs(args.nmax):
-                    fh.write(serialize_graph6(g) + "\n")
+            _write_text(args.dump_graph6, "".join(
+                serialize_graph6(g) + "\n" for g in oracle.enumerate_graphs(args.nmax)))
     elif target == "theorem2":
         if args.kmax < 1:
             raise _InputError("theorem2 check needs --kmax >= 1")
@@ -242,29 +250,29 @@ def _cmd_check(args, out, err) -> int:
         for note in catalog.diagnostics:
             checks.append(CheckResult("external-witness", FAIL, note))
     elif target == "gap":
-        if not 1 <= args.nmax <= 8:
-            raise _InputError("gap check is exhaustive; supports 1 <= --nmax <= 8")
+        if not 1 <= args.nmax <= oracle.MAX_ENUM_VERTICES:
+            raise _InputError("gap check is exhaustive; "
+                              f"supports 1 <= --nmax <= {oracle.MAX_ENUM_VERTICES}")
         for n in range(1, args.nmax + 1):
             brute = oracle.brute_gap(n)
-            table = oracle.brute_q_table(n)
+            table = oracle.level_stats(n).min_clique_by_chi
             by_q = max((c - q for c, q in table.items()), default=0)
             checks.append(CheckResult(
                 f"identity-n={n}", PASS if brute == by_q else FAIL,
                 f"max chi - omega is {brute}; max over c of c - Q(n, c) is {by_q}",
             ))
-            formula = constructions.chromatic_gap(n, "formula")
+            formula = constructions.chromatic_gap(n)
             if n >= 3:
                 ok = formula.exact and formula.lo == brute
                 checks.append(CheckResult(
                     f"formula-n={n}", PASS if ok else FAIL,
                     f"arithmetic gap {formula} vs exhaustive {brute}",
                 ))
-    else:
-        raise _InputError(f"unknown check target {target!r}")
     inputs = {"target": target, "nmax": args.nmax, "kmax": args.kmax}
-    return _emit(f"check {target}", inputs, results, checks, started, out, err)
+    return f"check {target}", inputs, results, checks
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="minclique",
@@ -291,7 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", help="run a verification suite")
     p.add_argument("target", choices=("theorem1", "theorem2", "catalog", "gap"))
-    p.add_argument("--nmax", type=int, default=8)
+    p.add_argument("--nmax", type=int, default=oracle.MAX_ENUM_VERTICES)
     p.add_argument("--kmax", type=int, default=22)
     p.add_argument("--dump-csv", help="theorem1: write the (n, c, Q) table as CSV")
     p.add_argument("--dump-graph6", help="theorem1: write enumerated graphs as graph6 lines")
@@ -313,16 +321,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None, out=sys.stdout, err=sys.stderr) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_INPUT_ERROR if exc.code else EXIT_OK
+    started = time.perf_counter()
     try:
-        return args.func(args, out, err)
-    except (_InputError, PreconditionError, UnsupportedWitnessError, ValueError) as exc:
+        report = args.func(args)
+    except (_InputError, UnsupportedWitnessError, ValueError) as exc:
         err.write(f"error: {exc}\n")
         return EXIT_INPUT_ERROR
+    return _emit(*report, started, out, err)
 
 
 if __name__ == "__main__":

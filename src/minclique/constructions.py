@@ -201,10 +201,11 @@ def build_extremal(n: int, k: int, catalog: WitnessCatalog | None = None) -> Ext
         raise RuntimeError(
             f"internal error: joined graph has clique number {omega}, expected {target_omega}"
         )
-    alpha = solvers.independence_number(graph)
+    gbar = complement(graph)
+    alpha = solvers.clique_number(gbar)  # independence number of graph
     if alpha > 2:
         raise RuntimeError(f"internal error: joined graph has independence number {alpha} > 2")
-    chi = n - matching.matching_number(complement(graph))
+    chi = n - matching.matching_number(gbar)
     if chi != n - k:
         raise RuntimeError(
             f"internal error: joined graph has chromatic number {chi}, expected {n - k}"
@@ -212,28 +213,19 @@ def build_extremal(n: int, k: int, catalog: WitnessCatalog | None = None) -> Ext
     return ExtremalWitness(n, k, graph, omega, chi, cert)
 
 
-def chromatic_gap(n: int, mode: str = "auto") -> IntInterval:
+def chromatic_gap(n: int) -> IntInterval:
     """Largest possible excess of chromatic number over clique number on n
-    vertices.
+    vertices, by the formula.
 
-    Oracle mode answers by exhaustive enumeration (n <= 8 only).  Formula
-    mode maximizes k - q(k) over every k whose optimal block partition fits
-    in n vertices (sum of block sizes 2 k_i + 1 is at most n).  Each such k
-    is realized by the join that `build_extremal` constructs, but it is
-    built and verified only where the catalog holds every block (k <= 8
-    with the built-in witnesses); beyond that the value rests on the
-    formula.  For n <= 8 the maximum provably matches the oracle.
+    Maximizes k - q(k) over every k whose optimal block partition fits in n
+    vertices (sum of block sizes 2 k_i + 1 is at most n).  Each such k is
+    realized by the join that `build_extremal` constructs, but it is built
+    and verified only where the catalog holds every block (k <= 8 with the
+    built-in witnesses); beyond that the value rests on the formula.  On
+    every n the exhaustive oracle reaches, the maximum provably matches
+    `oracle.brute_gap`; `check gap` confirms it, and the CLI's `gap`
+    command chooses between the two.
     """
-    if mode == "auto":
-        mode = "oracle" if n <= 8 else "formula"
-    if mode == "oracle":
-        from . import oracle
-
-        if n > 8:
-            raise CapacityError(f"oracle mode supports n <= 8, got {n}")
-        return IntInterval.point(oracle.brute_gap(n))
-    if mode != "formula":
-        raise ValueError(f"unknown mode {mode!r}")
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     candidates = [IntInterval.point(0)]  # k = 0: complete graph

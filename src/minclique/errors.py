@@ -2,7 +2,8 @@
 
 
 class CapacityError(ValueError):
-    """Requested size exceeds a hard limit (64 vertices, or 8 for enumeration)."""
+    """Requested size exceeds a hard limit (64 vertices, or
+    oracle.MAX_ENUM_VERTICES for enumeration)."""
 
 
 class InvalidVertexError(ValueError):

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 from .errors import PreconditionError
 from .graphs import Graph, bits, complement, induced_subgraph
-from .reports import CheckResult
+from .reports import FAIL, PASS, CheckResult
 from . import solvers
 
 
@@ -228,10 +228,10 @@ def verify_complement_partition(g: Graph, k: int) -> ComplementPartitionReport:
     vertex, so chi = n - nu(complement) (Gallai), read off the matching the
     decomposition already holds.
     """
-    alpha = solvers.independence_number(g)
+    gbar = complement(g)
+    alpha = solvers.clique_number(gbar)  # independence number of g
     if alpha != 2:
         raise PreconditionError(f"independence number is {alpha}, need exactly 2")
-    gbar = complement(g)
     decomp = edmonds_gallai(gbar)
     chi = g.n - decomp.matching.size
     if chi != g.n - k:
@@ -250,7 +250,7 @@ def verify_complement_partition(g: Graph, k: int) -> ComplementPartitionReport:
     bullets = []
 
     def bullet(name: str, ok: bool, condition: str) -> None:
-        bullets.append(CheckResult(name, "pass" if ok else "fail", condition))
+        bullets.append(CheckResult(name, PASS if ok else FAIL, condition))
 
     bullet(
         "isolated-set",

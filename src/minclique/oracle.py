@@ -56,6 +56,7 @@ chi - omega excess.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from .errors import CapacityError
@@ -197,21 +198,24 @@ def _ensure_level(n: int) -> None:
         _levels.append(list(seen.values()))
 
 
-def enumerate_graphs(n: int):
-    """Exactly one representative per isomorphism class, deterministically
-    ordered; n <= 8."""
+def _level(n: int) -> list[tuple[int, ...]]:
+    """The level-n representatives, enumerated on first use; the one check
+    of the enumeration cap."""
     if not 0 <= n <= MAX_ENUM_VERTICES:
         raise CapacityError(f"enumeration supports 0..{MAX_ENUM_VERTICES}, got {n}")
     _ensure_level(n)
-    for rows in _levels[n]:
+    return _levels[n]
+
+
+def enumerate_graphs(n: int):
+    """Exactly one representative per isomorphism class, deterministically
+    ordered; n <= MAX_ENUM_VERTICES."""
+    for rows in _level(n):
         yield Graph(n, rows)
 
 
 def count_graphs(n: int) -> int:
-    if not 0 <= n <= MAX_ENUM_VERTICES:
-        raise CapacityError(f"enumeration supports 0..{MAX_ENUM_VERTICES}, got {n}")
-    _ensure_level(n)
-    return len(_levels[n])
+    return len(_level(n))
 
 
 # -- exhaustive statistics -----------------------------------------------------
@@ -230,12 +234,8 @@ class LevelStats:
     max_gap: int
 
 
-_stats_cache: dict[int, LevelStats] = {}
-
-
+@functools.cache
 def level_stats(n: int) -> LevelStats:
-    if n in _stats_cache:
-        return _stats_cache[n]
     min_clique: dict[int, int] = {}
     witness: dict[int, Graph] = {}
     max_gap = 0
@@ -249,20 +249,13 @@ def level_stats(n: int) -> LevelStats:
         if chi not in min_clique or omega < min_clique[chi]:
             min_clique[chi] = omega
             witness[chi] = g
-    stats = LevelStats(n, count, min_clique, witness, max_gap)
-    _stats_cache[n] = stats
-    return stats
-
-
-def brute_q_table(n: int) -> dict[int, int]:
-    return dict(level_stats(n).min_clique_by_chi)
+    return LevelStats(n, count, min_clique, witness, max_gap)
 
 
 def brute_Q(n: int, c: int) -> int | None:
     """Least clique number over all n-vertex graphs with chromatic number
     exactly c; None if no such graph exists."""
-    if not 0 <= n <= MAX_ENUM_VERTICES:
-        raise CapacityError(f"enumeration supports 0..{MAX_ENUM_VERTICES}, got {n}")
+    _level(n)
     if not 1 <= c <= max(n, 1):
         raise ValueError(f"need 1 <= c <= n, got c = {c}")
     return level_stats(n).min_clique_by_chi.get(c)
@@ -309,7 +302,7 @@ def export_q_table_csv(n_max: int) -> str:
     """CSV dump of the exhaustive (n, c, min clique) table."""
     lines = ["n,c,min_clique"]
     for n in range(n_max + 1):
-        table = brute_q_table(n)
+        table = level_stats(n).min_clique_by_chi
         for c in sorted(table):
             lines.append(f"{n},{c},{table[c]}")
     return "\n".join(lines) + "\n"

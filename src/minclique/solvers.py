@@ -54,10 +54,6 @@ def is_k_colorable(g: Graph, k: int) -> bool:
     """True iff g has a proper coloring with at most k colors."""
     if k < 0:
         raise ValueError("color count must be nonnegative")
-    if g.n == 0:
-        return True
-    if k == 0:
-        return False
     if k >= g.n:
         return True
     clique = max_clique(g)
@@ -132,13 +128,12 @@ def _greedy_color_order(cand: int, radj: list[int]) -> list[tuple[int, int]]:
 def _colorable(g: Graph, k: int, clique: frozenset[int], alpha: int) -> bool:
     """Backtracking decision with forward checking.
 
-    `clique` is preassigned to colors 0..|clique|-1; a vertex may open color
-    c only if c-1 is already in use; no color class may exceed `alpha`
-    vertices.  All three cuts are exact, so the answer is too.
+    `clique` (at most k vertices) is preassigned to colors 0..|clique|-1;
+    a vertex may open color c only if c-1 is already in use; no color class
+    may exceed `alpha` vertices.  All three cuts are exact, so the answer is
+    too.
     """
     n = g.n
-    if len(clique) > k:
-        return False
     colors = [-1] * n
     forbidden = [0] * n  # bitmask of colors used by colored neighbors
     class_size = [0] * k

@@ -177,7 +177,7 @@ def test_criterion_09_gap_identity():
         table = level_stats(n).min_clique_by_chi
         assert brute_gap(n) == max(c - w for c, w in table.items()), n
     for n in range(3, 9):
-        formula = chromatic_gap(n, "formula")
+        formula = chromatic_gap(n)
         assert formula == IntInterval.point(brute_gap(n)), n
     _report(9, "gap identity and arithmetic gap agreement hold for all n <= 8")
 

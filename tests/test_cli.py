@@ -1,9 +1,12 @@
+import argparse
 import io
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 from minclique import parse_graph6, serialize_graph6
 from minclique.cli import main
@@ -127,6 +130,45 @@ def test_gap_command():
 
     code, payload, _ = run_cli("gap", "6")
     assert code == 0 and payload["results"]["mode"] == "oracle"
+
+    # auto mode: exhaustive up to the enumeration cap, the formula beyond
+    code, payload, _ = run_cli("gap", "7")
+    assert code == 0 and payload["results"] == {"gap": [1, 1], "mode": "oracle"}
+    code, payload, _ = run_cli("gap", "9")
+    assert code == 0 and payload["results"] == {"gap": [1, 1], "mode": "formula"}
+
+    code, payload, err = run_cli("gap", "9", "--mode", "oracle")
+    assert code == 2 and payload is None and "error" in err
+
+
+def test_parser_is_built_once(monkeypatch):
+    run_cli("q", "1")
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    for argv in (("q", "2"), ("gap", "5"), ("witness", "5", "0")):
+        assert run_cli(*argv)[0] == 0
+    assert built == []
+
+
+@pytest.mark.parametrize("argv", [
+    ("witness", "7", "2", "--out"),
+    ("compose", "{c5}", "{c5}", "--out"),
+    ("check", "theorem1", "--nmax", "3", "--dump-csv"),
+    ("check", "theorem1", "--nmax", "3", "--dump-graph6"),
+])
+def test_unwritable_output_path_is_input_error(tmp_path, c5, argv):
+    c5_path = tmp_path / "c5.g6"
+    c5_path.write_text(serialize_graph6(c5) + "\n")
+    target = tmp_path / "missing" / "x"
+    code, payload, err = run_cli(*(a.format(c5=c5_path) for a in argv), str(target))
+    assert code == 2 and payload is None and "error" in err
+    assert not target.exists()
 
 
 def test_compose_command(tmp_path, c5):

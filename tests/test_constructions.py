@@ -121,27 +121,22 @@ def test_build_extremal_errors(catalog):
 
 
 def test_gap_oracle_small():
-    assert chromatic_gap(3, "oracle") == IntInterval.point(0)
-    assert chromatic_gap(5, "oracle") == IntInterval.point(1)
+    assert brute_gap(3) == 0
+    assert brute_gap(5) == 1
     with pytest.raises(CapacityError):
-        chromatic_gap(9, "oracle")
+        brute_gap(9)
 
 
 def test_gap_formula():
-    assert chromatic_gap(9, "formula") == IntInterval.point(1)
-    assert chromatic_gap(13, "formula") == IntInterval.point(3)
+    assert chromatic_gap(9) == IntInterval.point(1)
+    assert chromatic_gap(13) == IntInterval.point(3)
     for n in range(3, 9):
-        assert chromatic_gap(n, "formula") == IntInterval.point(brute_gap(n))
-
-
-def test_gap_auto_mode():
-    assert chromatic_gap(7) == IntInterval.point(brute_gap(7))
-    assert chromatic_gap(9) == chromatic_gap(9, "formula")
+        assert chromatic_gap(n) == IntInterval.point(brute_gap(n))
 
 
 def test_gap_formula_is_monotone():
     prev = IntInterval.point(0)
     for n in range(1, 40):
-        cur = chromatic_gap(n, "formula")
+        cur = chromatic_gap(n)
         assert cur.lo >= prev.lo and cur.hi >= prev.hi
         prev = cur
