@@ -1,3 +1,6 @@
+import io
+import json
+
 import pytest
 
 from minclique import (
@@ -15,8 +18,9 @@ from minclique import (
     induced_subgraph,
     q_value,
 )
+from minclique.cli import main
 from minclique.constructions import ComposeInput, eq4_upper_bound
-from minclique.oracle import brute_gap
+from minclique.oracle import MAX_ENUM_VERTICES, brute_gap
 
 
 def test_compose_c5_c5(c5, catalog):
@@ -132,6 +136,20 @@ def test_gap_formula():
     assert chromatic_gap(13) == IntInterval.point(3)
     for n in range(3, 9):
         assert chromatic_gap(n) == IntInterval.point(brute_gap(n))
+
+
+def test_gap_auto_mode():
+    # chromatic_gap is formula-only; `gap` without --mode picks the oracle up
+    # to the enumeration cap and the formula beyond it
+    def auto_gap(n):
+        out = io.StringIO()
+        assert main(["gap", str(n)], out=out, err=io.StringIO()) == 0
+        return json.loads(out.getvalue())["results"]
+
+    assert 7 <= MAX_ENUM_VERTICES < 9
+    assert auto_gap(7) == {"gap": [brute_gap(7)] * 2, "mode": "oracle"}
+    formula = chromatic_gap(9)
+    assert auto_gap(9) == {"gap": [formula.lo, formula.hi], "mode": "formula"}
 
 
 def test_gap_formula_is_monotone():
