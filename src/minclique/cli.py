@@ -141,11 +141,13 @@ def _cmd_verify(args) -> _Report:
     g = _load_graph(args.file)
     props = ALL_PROPS if args.props == "all" else tuple(p.strip() for p in args.props.split(","))
     results: dict = {"n": g.n, "edges": g.num_edges}
+    # one maximum clique serves omega and chi's lower bound
+    clique = solvers.max_clique(g) if "omega" in props or "chi" in props else None
     for prop in props:
         if prop == "omega":
-            results["omega"] = solvers.clique_number(g)
+            results["omega"] = len(clique)
         elif prop == "chi":
-            results["chi"] = solvers.chromatic_number(g)
+            results["chi"] = solvers._chromatic_number(g, clique)
         elif prop == "alpha":
             results["alpha"] = solvers.independence_number(g)
         elif prop == "nu":

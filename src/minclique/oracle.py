@@ -60,7 +60,7 @@ import functools
 from dataclasses import dataclass
 
 from .errors import CapacityError
-from .graphs import Graph, bits, popcount
+from .graphs import Graph, popcount
 from .qfunction import q
 from .reports import FAIL, PASS, CheckResult
 from . import solvers
@@ -86,11 +86,18 @@ def canonical_form(g: Graph) -> CanonicalForm:
 
 
 def _vertex_keys(n: int, adj: tuple[int, ...] | list[int]) -> list[tuple]:
-    degs = [popcount(row) for row in adj]
-    return [
-        (degs[v], tuple(sorted(degs[u] for u in bits(adj[v]))))
-        for v in range(n)
-    ]
+    degs = [row.bit_count() for row in adj]
+    keys = []
+    for v in range(n):
+        row = adj[v]
+        nbr_degs = []
+        while row:  # inline low-bit loop: a `bits` generator costs more here
+            low = row & -row
+            nbr_degs.append(degs[low.bit_length() - 1])
+            row ^= low
+        nbr_degs.sort()
+        keys.append((degs[v], tuple(nbr_degs)))
+    return keys
 
 
 def _canonical_columns(n: int, adj, keys: list[tuple] | None = None) -> tuple[int, ...]:

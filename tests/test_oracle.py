@@ -21,6 +21,7 @@ from minclique import (
 )
 from minclique.oracle import (
     KNOWN_CLASS_COUNTS,
+    _vertex_keys,
     export_q_table_csv,
     level_stats,
     verify_clique_formula,
@@ -264,3 +265,14 @@ def test_csv_export():
     assert lines[0] == "n,c,min_clique"
     assert "4,4,4" in lines
     assert "3,2,2" in lines
+
+
+def test_vertex_keys_match_definition():
+    rng = random.Random(41)
+    for _ in range(200):
+        g = random_graph(rng, rng.randrange(0, 13), rng.random())
+        expected = [
+            (g.degree(v), tuple(sorted(g.degree(u) for u in g.neighbors(v))))
+            for v in range(g.n)
+        ]
+        assert _vertex_keys(g.n, g.adj) == expected

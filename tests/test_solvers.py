@@ -1,5 +1,7 @@
 import random
 
+import pytest
+
 from minclique import (
     chromatic_number,
     circulant,
@@ -7,11 +9,13 @@ from minclique import (
     complement,
     complete_graph,
     empty_graph,
+    enumerate_graphs,
     from_edges,
     independence_number,
     is_k_colorable,
     join,
     max_clique,
+    solvers,
 )
 
 import brute
@@ -96,3 +100,71 @@ def test_edge_deletion_monotonicity():
         smaller = from_edges(g.n, [e for e in g.edges() if e != (u, v)])
         assert clique_number(smaller) <= omega
         assert chi - 1 <= chromatic_number(smaller) <= chi
+
+
+def test_chromatic_matches_bruteforce_on_census():
+    # every isomorphism class on up to 7 vertices: 1,253 graphs, most of them
+    # settled by the greedy bound meeting the clique bound
+    count = 0
+    for n in range(8):
+        for g in enumerate_graphs(n):
+            count += 1
+            assert chromatic_number(g) == brute.chromatic_number(g), g
+    assert count == 1253
+
+
+def _crown(m):
+    # K_{m,m} minus a perfect matching, sides interleaved as 2i and 2i + 1
+    return from_edges(2 * m, [(2 * i, 2 * j + 1) for i in range(m) for j in range(m) if i != j])
+
+
+def _grotzsch():
+    # Mycielskian of C5: cycle 0..4, shadows 5..9, apex 10
+    edges = [(i, (i + 1) % 5) for i in range(5)]
+    edges += [(5 + i, (i + d) % 5) for i in range(5) for d in (1, 4)]
+    edges += [(5 + i, 10) for i in range(5)]
+    return from_edges(11, edges)
+
+
+def _wheel(rim):
+    return join([circulant(rim, {1}), complete_graph(1)])
+
+
+def test_chromatic_where_greedy_is_loose():
+    for m in range(3, 7):
+        crown = _crown(m)
+        assert solvers._greedy_colors(crown) == m  # first-fit is far off here
+        assert clique_number(crown) == 2
+        assert chromatic_number(crown) == 2
+    grotzsch = _grotzsch()
+    assert clique_number(grotzsch) == 2
+    assert chromatic_number(grotzsch) == brute.chromatic_number(grotzsch) == 4
+    for rim in (5, 7, 9):
+        wheel = _wheel(rim)
+        assert clique_number(wheel) == 3
+        assert chromatic_number(wheel) == brute.chromatic_number(wheel) == 4
+
+
+class _AlphaCalled(Exception):
+    pass
+
+
+def test_chromatic_skips_alpha_when_bounds_meet(monkeypatch, c5):
+    def no_alpha(g):
+        raise _AlphaCalled
+
+    monkeypatch.setattr(solvers, "independence_number", no_alpha)
+    for n in range(1, 7):
+        assert chromatic_number(complete_graph(n)) == n
+    for n in (4, 6, 10):
+        assert chromatic_number(circulant(n, {1})) == 2
+    path = from_edges(7, [(i, i + 1) for i in range(6)])
+    star = from_edges(6, [(0, i) for i in range(1, 6)])
+    binary = from_edges(15, [(i, 2 * i + j) for i in range(7) for j in (1, 2)])
+    for tree in (path, star, binary):
+        assert chromatic_number(tree) == 2
+    for a, b in ((1, 1), (2, 3), (4, 4)):
+        assert chromatic_number(join([empty_graph(a), empty_graph(b)])) == 2
+    # chi(C5) = 3 > omega = 2: no coloring meets the clique bound
+    with pytest.raises(_AlphaCalled):
+        chromatic_number(c5)
