@@ -141,13 +141,16 @@ def _cmd_verify(args) -> _Report:
     g = _load_graph(args.file)
     props = ALL_PROPS if args.props == "all" else tuple(p.strip() for p in args.props.split(","))
     results: dict = {"n": g.n, "edges": g.num_edges}
-    # one maximum clique serves omega and chi's lower bound
-    clique = solvers.max_clique(g) if "omega" in props or "chi" in props else None
+    # one clique search serves omega and chi's bounds
+    if "chi" in props:
+        omega, chi = solvers.clique_and_chromatic_number(g)
+    elif "omega" in props:
+        omega = solvers.clique_number(g)
     for prop in props:
         if prop == "omega":
-            results["omega"] = len(clique)
+            results["omega"] = omega
         elif prop == "chi":
-            results["chi"] = solvers._chromatic_number(g, clique)
+            results["chi"] = chi
         elif prop == "alpha":
             results["alpha"] = solvers.independence_number(g)
         elif prop == "nu":

@@ -145,12 +145,11 @@ def _canonical_columns(n: int, adj, keys: list[tuple] | None = None) -> tuple[in
                 col |= (row >> p & 1) << (j - 1 - i)
             scored.append((col, v))
         low = min(col for col, _ in scored)
-        if best is not None and j < len(best):
-            prefix = best[:j]
-            if cols > prefix:
-                return
-            if cols == prefix and low > best[j]:
-                return
+        # every child of a call appends the same minimal column, the parent
+        # returned if cols == best[:j] and low > best[j], and each later best
+        # extends the parent's cols: so here cols <= best[:j] and j < n
+        if best is not None and cols == best[:j] and low > best[j]:
+            return
         tried = 0  # bitmask of the twin classes already tried at position j
         for col, v in scored:
             if col != low or tried >> twin[v] & 1:
@@ -249,9 +248,7 @@ def level_stats(n: int) -> LevelStats:
     count = 0
     for g in enumerate_graphs(n):
         count += 1
-        clique = solvers.max_clique(g)
-        omega = len(clique)
-        chi = solvers._chromatic_number(g, clique)
+        omega, chi = solvers.clique_and_chromatic_number(g)
         max_gap = max(max_gap, chi - omega)
         if chi not in min_clique or omega < min_clique[chi]:
             min_clique[chi] = omega

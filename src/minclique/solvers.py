@@ -2,20 +2,22 @@
 
 Clique: branch and bound over bitset candidate sets, vertices preordered by
 descending degree (ties by lowest index), with a greedy-coloring upper bound
-for pruning.
+for pruning.  The coloring at the root of the search is first-fit over the
+whole graph in that order, so one clique search yields omega, a maximum
+clique and chi's upper bound together.
 
-Chromatic number: bounds first, search only between them.  A first-fit
-greedy coloring (vertices by descending degree, ties by lowest index) is
-proper, so its color count `upper` satisfies chi <= upper; a maximum clique
-needs distinct colors, so omega <= chi.  When upper equals omega the two
-bounds meet and chi = upper exactly, with no independence number and no
-search; the bounds meet on 12,656 of the 13,595 census graphs on 3..8
-vertices.  Otherwise k runs upward from max(omega, ceil(n / alpha)) to
-upper - 1, each k decided by backtracking with forward checking; the first
-colorable k is chi, and if none is, chi is upper.  The backtracking breaks
-symmetry by preassigning a maximum clique to distinct colors and by
-allowing at most one brand-new color per step.  Everything is exact; the
-test suite pins all three against brute-force enumeration on small graphs.
+Chromatic number: bounds first, search only between them.  The root
+coloring is proper, so its color count `upper` satisfies chi <= upper; a
+maximum clique needs distinct colors, so omega <= chi.  When upper equals
+omega the two bounds meet and chi = upper exactly, with no independence
+number and no search; the bounds meet on 12,656 of the 13,595 census graphs
+on 3..8 vertices.  Otherwise k runs upward from max(omega, ceil(n / alpha))
+to upper - 1, each k decided by backtracking with forward checking; the
+first colorable k is chi, and if none is, chi is upper.  The backtracking
+has two cuts, both symmetry breaks: a maximum clique is preassigned to
+distinct colors, and each step may open at most one brand-new color.
+Everything is exact; the test suite pins all three against brute-force
+enumeration on small graphs.
 
 Independence number is computed as the clique number of the complement, so
 it shares the clique solver's correctness and never touches the matching
@@ -30,7 +32,7 @@ from .graphs import Graph, bits, complement, popcount
 
 def max_clique(g: Graph) -> frozenset[int]:
     """A maximum clique of g (deterministic choice)."""
-    size, members = _max_clique_within(g, (1 << g.n) - 1)
+    size, members, _ = _max_clique_within(g, (1 << g.n) - 1)
     assert size == len(members)
     return frozenset(members)
 
@@ -44,59 +46,40 @@ def independence_number(g: Graph) -> int:
 
 
 def chromatic_number(g: Graph) -> int:
-    return _chromatic_number(g, max_clique(g))
+    return clique_and_chromatic_number(g)[1]
 
 
-def _chromatic_number(g: Graph, clique: frozenset[int]) -> int:
-    """chi of g, given a maximum clique of it."""
-    upper = _greedy_colors(g)
-    if upper == len(clique):
-        return upper
+def clique_and_chromatic_number(g: Graph) -> tuple[int, int]:
+    """(omega, chi) of g, from one clique search and, only when its greedy
+    bound exceeds omega, a k-colorability search."""
+    omega, clique, upper = _max_clique_within(g, (1 << g.n) - 1)
+    if upper == omega:
+        return omega, upper
     alpha = independence_number(g)
-    for k in range(max(len(clique), -(-g.n // alpha)), upper):
-        if _colorable(g, k, clique, alpha):
-            return k
-    return upper
-
-
-def _greedy_colors(g: Graph) -> int:
-    """Colors used by first-fit greedy coloring, vertices by descending
-    degree (ties by lowest index); an upper bound on chi."""
-    classes: list[int] = []  # vertex bitmask per color
-    for v in sorted(range(g.n), key=lambda v: (-popcount(g.adj[v]), v)):
-        row = g.adj[v]
-        for i, members in enumerate(classes):
-            if not members & row:
-                classes[i] = members | 1 << v
-                break
-        else:
-            classes.append(1 << v)
-    return len(classes)
+    for k in range(max(omega, -(-g.n // alpha)), upper):
+        if _colorable(g, k, clique):
+            return omega, k
+    return omega, upper
 
 
 def is_k_colorable(g: Graph, k: int) -> bool:
     """True iff g has a proper coloring with at most k colors."""
     if k < 0:
         raise ValueError("color count must be nonnegative")
-    if k >= g.n:
-        return True
-    clique = max_clique(g)
-    if len(clique) > k:
-        return False
-    alpha = independence_number(g)
-    if -(-g.n // alpha) > k:
-        return False
-    return _colorable(g, k, clique, alpha)
+    return chromatic_number(g) <= k
 
 
 # -- clique branch and bound ------------------------------------------------
 
 
-def _max_clique_within(g: Graph, mask: int) -> tuple[int, tuple[int, ...]]:
-    """Maximum clique of the subgraph induced on `mask` (original labels)."""
+def _max_clique_within(g: Graph, mask: int) -> tuple[int, tuple[int, ...], int]:
+    """Maximum clique of the subgraph induced on `mask` (original labels), as
+    (size, sorted members, color count of the root coloring).  The root
+    coloring fills one class at a time in vertex order, which by induction
+    on classes is first-fit in that order: an upper bound on chi."""
     verts = [v for v in range(g.n) if mask >> v & 1]
     if not verts:
-        return 0, ()
+        return 0, (), 0
     verts.sort(key=lambda v: (-popcount(g.adj[v] & mask), v))
     pos = {v: i for i, v in enumerate(verts)}
     radj = [0] * len(verts)
@@ -109,23 +92,24 @@ def _max_clique_within(g: Graph, mask: int) -> tuple[int, tuple[int, ...]]:
     best_size = 0
     best_mask = 0
 
-    def expand(cand: int, size: int, current: int) -> None:
+    def expand(cand: int, size: int, current: int, seq: list[tuple[int, int]]) -> None:
         nonlocal best_size, best_mask
-        seq = _greedy_color_order(cand, radj)
         for i in range(len(seq) - 1, -1, -1):
             v, color = seq[i]
             if size + color <= best_size:
                 return
             sub = cand & radj[v]
             if sub:
-                expand(sub, size + 1, current | 1 << v)
+                expand(sub, size + 1, current | 1 << v, _greedy_color_order(sub, radj))
             elif size + 1 > best_size:
                 best_size = size + 1
                 best_mask = current | 1 << v
             cand &= ~(1 << v)
 
-    expand((1 << len(verts)) - 1, 0, 0)
-    return best_size, tuple(sorted(verts[i] for i in bits(best_mask)))
+    full = (1 << len(verts)) - 1
+    root = _greedy_color_order(full, radj)
+    expand(full, 0, 0, root)
+    return best_size, tuple(sorted(verts[i] for i in bits(best_mask))), root[-1][1]
 
 
 def _greedy_color_order(cand: int, radj: list[int]) -> list[tuple[int, int]]:
@@ -149,31 +133,26 @@ def _greedy_color_order(cand: int, radj: list[int]) -> list[tuple[int, int]]:
 # -- k-colorability backtracking ---------------------------------------------
 
 
-def _colorable(g: Graph, k: int, clique: frozenset[int], alpha: int) -> bool:
+def _colorable(g: Graph, k: int, clique: tuple[int, ...]) -> bool:
     """Backtracking decision with forward checking.
 
-    `clique` (at most k vertices) is preassigned to colors 0..|clique|-1;
-    a vertex may open color c only if c-1 is already in use; no color class
-    may exceed `alpha` vertices.  All three cuts are exact, so the answer is
-    too.
+    `clique` (at most k vertices) is preassigned to colors 0..|clique|-1,
+    and a vertex may open color c only if c-1 is already in use.  Both cuts
+    are exact, so the answer is too.  No color class can exceed alpha: a
+    vertex is never offered a color already on a neighbor, so every class
+    stays independent.  It runs only when the greedy bound exceeds omega,
+    so the clique never covers every vertex (and solve(0) is True anyway).
     """
     n = g.n
     colors = [-1] * n
     forbidden = [0] * n  # bitmask of colors used by colored neighbors
-    class_size = [0] * k
     full = (1 << k) - 1
 
-    ordered_clique = sorted(clique)
-    for c, v in enumerate(ordered_clique):
+    for c, v in enumerate(clique):
         colors[v] = c
-        class_size[c] += 1
         for u in bits(g.adj[v]):
             forbidden[u] |= 1 << c
-    max_used = len(ordered_clique) - 1
-
-    uncolored = [v for v in range(n) if colors[v] < 0]
-    if not uncolored:
-        return True
+    max_used = len(clique) - 1
     neg_degree = [-popcount(row) for row in g.adj]
 
     def pick() -> int:
@@ -201,10 +180,7 @@ def _colorable(g: Graph, k: int, clique: frozenset[int], alpha: int) -> bool:
             low = options & -options
             options ^= low
             c = low.bit_length() - 1
-            if class_size[c] >= alpha:
-                continue
             colors[v] = c
-            class_size[c] += 1
             saved_max = max_used
             max_used = max(max_used, c)
             touched = []
@@ -219,9 +195,8 @@ def _colorable(g: Graph, k: int, clique: frozenset[int], alpha: int) -> bool:
                 return True
             for u in touched:
                 forbidden[u] &= ~(1 << c)
-            class_size[c] -= 1
             colors[v] = -1
             max_used = saved_max
         return False
 
-    return solve(len(uncolored))
+    return solve(n - len(clique))

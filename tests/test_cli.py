@@ -187,7 +187,7 @@ def test_compose_command(tmp_path, c5):
     assert code == 2  # not a clique
 
 
-def test_bad_usage():
+def test_bad_usage(tmp_path, c5):
     code, _, _ = run_cli("q")
     assert code == 2
     code, _, _ = run_cli("frobnicate", "1")
@@ -201,6 +201,14 @@ def test_bad_usage():
         assert code == 2 and payload is None and "error" in err
     code, _, _ = run_cli("check", "theorem2", "--jobs", "2")
     assert code == 2
+    blank = tmp_path / "blank.g6"
+    blank.write_text("\n  \n\n")
+    c5_path = tmp_path / "c5.g6"
+    c5_path.write_text(serialize_graph6(c5) + "\n")
+    for argv in (("verify", str(blank)),
+                 ("compose", str(c5_path), str(c5_path), "--clique1", "a,b")):
+        code, payload, err = run_cli(*argv)
+        assert code == 2 and payload is None and "error:" in err
 
 
 def test_witness_dir_env_and_failure_exit(tmp_path, monkeypatch):

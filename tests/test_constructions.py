@@ -17,6 +17,7 @@ from minclique import (
     independence_number,
     induced_subgraph,
     q_value,
+    serialize_graph6,
 )
 from minclique.cli import main
 from minclique.constructions import ComposeInput, eq4_upper_bound
@@ -89,6 +90,9 @@ def test_build_extremal_examples(catalog):
 
     w = build_extremal(5, 0, catalog)
     assert w.graph == complete_graph(5)
+
+    w = build_extremal(7, 2)  # the default catalog, as in the README tour
+    assert serialize_graph6(w.graph) == "Fhf~w"
 
 
 def test_build_extremal_verified_by_solvers(catalog):

@@ -7,6 +7,8 @@ from minclique import (
     circulant,
     clique_number,
     complement,
+    complete_graph,
+    empty_graph,
     independence_number,
     r3,
     serialize_graph6,
@@ -141,9 +143,17 @@ def test_external_witness_rejection(tmp_path, c5):
     (tmp_path / "3.g6").write_text(serialize_graph6(complement(c5)) + "\n")  # unparsable count mismatch
     (tmp_path / "notanumber.g6").write_text("D?{\n")
     (tmp_path / "4.g6").write_text("not graph6 at all!!\n")
+    (tmp_path / "5.g6").write_text(serialize_graph6(complete_graph(5)) + "\n")
+    (tmp_path / "8.g6").write_text(serialize_graph6(empty_graph(8)) + "\n")
+    (tmp_path / "40.g6").write_text(serialize_graph6(complete_graph(40)) + "\n")
     loaded = WitnessCatalog(tmp_path)
-    assert len(loaded.diagnostics) == 4
+    assert len(loaded.diagnostics) == 7
+    for name, reason in (("5.g6", "clique number 5, expected 2"),
+                         ("8.g6", "independence number 8 > 2"),
+                         ("40.g6", "not exact")):
+        assert any(d.startswith(name) and reason in d for d in loaded.diagnostics), name
     assert loaded.base_sizes() == WitnessCatalog().base_sizes()
+    assert loaded.witness_alpha2(5) == c5  # the built-in base was not replaced
 
 
 def test_missing_witness_dir_is_diagnosed(tmp_path):

@@ -113,6 +113,29 @@ def test_chromatic_matches_bruteforce_on_census():
     assert count == 1253
 
 
+def _first_fit_colors(g):
+    # first-fit greedy coloring, vertices by descending degree, ties by index
+    classes = []
+    for v in sorted(range(g.n), key=lambda v: (-g.degree(v), v)):
+        for cls in classes:
+            if not any(g.has_edge(u, v) for u in cls):
+                cls.append(v)
+                break
+        else:
+            classes.append([v])
+    return len(classes)
+
+
+def test_root_coloring_is_first_fit():
+    # the clique search's root color count is chi's greedy upper bound
+    rng = random.Random(41)
+    corpus = [g for n in range(8) for g in enumerate_graphs(n)]
+    assert len(corpus) == 1253
+    corpus += [random_graph(rng, rng.randrange(0, 65), rng.random()) for _ in range(200)]
+    for g in corpus:
+        assert solvers._max_clique_within(g, (1 << g.n) - 1)[2] == _first_fit_colors(g), g
+
+
 def _crown(m):
     # K_{m,m} minus a perfect matching, sides interleaved as 2i and 2i + 1
     return from_edges(2 * m, [(2 * i, 2 * j + 1) for i in range(m) for j in range(m) if i != j])
@@ -133,7 +156,8 @@ def _wheel(rim):
 def test_chromatic_where_greedy_is_loose():
     for m in range(3, 7):
         crown = _crown(m)
-        assert solvers._greedy_colors(crown) == m  # first-fit is far off here
+        root_colors = solvers._max_clique_within(crown, (1 << crown.n) - 1)[2]
+        assert root_colors == m  # first-fit is far off here
         assert clique_number(crown) == 2
         assert chromatic_number(crown) == 2
     grotzsch = _grotzsch()
