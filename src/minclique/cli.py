@@ -8,8 +8,11 @@ Commands:
     q K                     value and certificate of the partition minimum
     witness N K [--out F]   certified extremal graph for chi = N - K
     verify FILE [--props]   solve omega/chi/alpha/nu for a graph6 file
-    check TARGET [...]      theorem1 | theorem2 | catalog | gap
-    gap N [--mode M]        largest chi - omega on N vertices
+    check theorem1 [--nmax N] [--dump-csv F] [--dump-graph6 F]
+    check theorem2 [--kmax K]
+    check catalog
+    check gap [--nmax N]
+    gap N                   largest chi - omega on N vertices
     compose F1 F2 [...]     merge two alpha <= 2 graphs
 
 `main` parses (one parser per process), times, reports and maps errors to
@@ -32,7 +35,7 @@ from . import constructions, matching, oracle, qfunction, solvers
 from .errors import UnsupportedWitnessError
 from .graphs import Graph, parse_graph6, serialize_graph6
 from .intervals import IntInterval
-from .ramsey import default_catalog
+from .ramsey import default_catalog, small_omega
 from .reports import FAIL, INDETERMINATE, PASS, CheckResult
 
 EXIT_OK = 0
@@ -138,8 +141,11 @@ def _cmd_witness(args) -> _Report:
 
 
 def _cmd_verify(args) -> _Report:
-    g = _load_graph(args.file)
     props = ALL_PROPS if args.props == "all" else tuple(p.strip() for p in args.props.split(","))
+    for prop in props:
+        if prop not in ALL_PROPS:
+            raise _InputError(f"unknown property {prop!r}; choose from {ALL_PROPS}")
+    g = _load_graph(args.file)
     results: dict = {"n": g.n, "edges": g.num_edges}
     # one clique search serves omega and chi's bounds
     if "chi" in props:
@@ -153,23 +159,17 @@ def _cmd_verify(args) -> _Report:
             results["chi"] = chi
         elif prop == "alpha":
             results["alpha"] = solvers.independence_number(g)
-        elif prop == "nu":
-            results["nu"] = matching.matching_number(g)
         else:
-            raise _InputError(f"unknown property {prop!r}; choose from {ALL_PROPS}")
+            results["nu"] = matching.matching_number(g)
     return "verify", {"file": args.file, "props": list(props)}, results, []
 
 
 def _cmd_gap(args) -> _Report:
-    mode = args.mode
-    if mode == "auto":
-        mode = "oracle" if args.n <= oracle.MAX_ENUM_VERTICES else "formula"
-    if mode == "oracle":
-        value = IntInterval.point(oracle.brute_gap(args.n))
+    if args.n <= oracle.MAX_ENUM_VERTICES:
+        mode, value = "oracle", IntInterval.point(oracle.brute_gap(args.n))
     else:
-        value = constructions.chromatic_gap(args.n)
-    results = {"gap": _interval_json(value), "mode": mode}
-    return "gap", {"n": args.n, "mode": args.mode}, results, []
+        mode, value = "formula", constructions.chromatic_gap(args.n)
+    return "gap", {"n": args.n}, {"gap": _interval_json(value), "mode": mode}, []
 
 
 def _cmd_compose(args) -> _Report:
@@ -209,72 +209,78 @@ def _parse_vertex_list(text: str | None) -> tuple[int, ...] | None:
         raise _InputError(f"bad vertex list {text!r}: {exc}") from exc
 
 
-def _cmd_check(args) -> _Report:
-    target = args.target
-    checks: list[CheckResult] = []
-    results: dict = {}
-    if target == "theorem1":
-        if args.nmax < 0:
-            raise _InputError("theorem1 check needs --nmax >= 0")
-        report = oracle.verify_clique_formula(args.nmax)
-        checks = list(report.entries)
-        results["pairs_checked"] = len(checks)
-        counts = [oracle.count_graphs(n) for n in range(args.nmax + 1)]
-        results["class_counts"] = counts
-        for n, got in enumerate(counts):
-            want = oracle.KNOWN_CLASS_COUNTS[n]
+def _check_theorem1(args) -> _Report:
+    if args.nmax < 0:
+        raise _InputError("theorem1 check needs --nmax >= 0")
+    checks = list(oracle.verify_clique_formula(args.nmax).entries)
+    counts = [oracle.count_graphs(n) for n in range(args.nmax + 1)]
+    results = {"pairs_checked": len(checks), "class_counts": counts}
+    for n, got in enumerate(counts):
+        want = oracle.KNOWN_CLASS_COUNTS[n]
+        checks.append(CheckResult(
+            f"count-n={n}", PASS if got == want else FAIL,
+            f"{got} isomorphism classes enumerated, published count is {want}",
+        ))
+    if args.dump_csv:
+        _write_text(args.dump_csv, oracle.export_q_table_csv(args.nmax))
+    if args.dump_graph6:
+        _write_text(args.dump_graph6, "".join(
+            serialize_graph6(g) + "\n" for g in oracle.enumerate_graphs(args.nmax)))
+    return "check theorem1", {"target": "theorem1", "nmax": args.nmax}, results, checks
+
+
+def _check_theorem2(args) -> _Report:
+    if args.kmax < 1:
+        raise _InputError("theorem2 check needs --kmax >= 1")
+    report = qfunction.check_three_parts_suffice(args.kmax)
+    results = {"indeterminate_k": list(report.indeterminate),
+               "two_part_exceptions": list(report.two_part_exceptions),
+               "single_block_exceptions": list(report.single_block_exceptions)}
+    inputs = {"target": "theorem2", "kmax": args.kmax}
+    return "check theorem2", inputs, results, list(report.entries)
+
+
+def _check_catalog(args) -> _Report:
+    catalog = default_catalog()
+    checks = []
+    for size in catalog.base_sizes():
+        if size < 5:
+            continue  # the 2-vertex base is trivial plumbing
+        g = catalog.witness_alpha2(size)
+        omega, alpha = solvers.clique_number(g), solvers.independence_number(g)
+        want = small_omega(size).lo
+        checks.append(CheckResult(
+            f"witness-{size}", PASS if omega == want and alpha <= 2 else FAIL,
+            f"{size}-vertex witness: clique {omega} (want {want}), "
+            f"independence {alpha} (want <= 2)",
+        ))
+    results = {"witnesses_verified": len(checks)}
+    for note in catalog.diagnostics:
+        checks.append(CheckResult("external-witness", FAIL, note))
+    return "check catalog", {"target": "catalog"}, results, checks
+
+
+def _check_gap(args) -> _Report:
+    if not 1 <= args.nmax <= oracle.MAX_ENUM_VERTICES:
+        raise _InputError("gap check is exhaustive; "
+                          f"supports 1 <= --nmax <= {oracle.MAX_ENUM_VERTICES}")
+    checks = []
+    for n in range(1, args.nmax + 1):
+        brute = oracle.brute_gap(n)
+        table = oracle.level_stats(n).min_clique_by_chi
+        by_q = max((c - q for c, q in table.items()), default=0)
+        checks.append(CheckResult(
+            f"identity-n={n}", PASS if brute == by_q else FAIL,
+            f"max chi - omega is {brute}; max over c of c - Q(n, c) is {by_q}",
+        ))
+        formula = constructions.chromatic_gap(n)
+        if n >= 3:
+            ok = formula.exact and formula.lo == brute
             checks.append(CheckResult(
-                f"count-n={n}", PASS if got == want else FAIL,
-                f"{got} isomorphism classes enumerated, published count is {want}",
+                f"formula-n={n}", PASS if ok else FAIL,
+                f"arithmetic gap {formula} vs exhaustive {brute}",
             ))
-        if args.dump_csv:
-            _write_text(args.dump_csv, oracle.export_q_table_csv(args.nmax))
-        if args.dump_graph6:
-            _write_text(args.dump_graph6, "".join(
-                serialize_graph6(g) + "\n" for g in oracle.enumerate_graphs(args.nmax)))
-    elif target == "theorem2":
-        if args.kmax < 1:
-            raise _InputError("theorem2 check needs --kmax >= 1")
-        report = qfunction.check_three_parts_suffice(args.kmax)
-        checks = list(report.entries)
-        results["indeterminate_k"] = list(report.indeterminate)
-        results["two_part_exceptions"] = list(report.two_part_exceptions)
-        results["single_block_exceptions"] = list(report.single_block_exceptions)
-    elif target == "catalog":
-        catalog = default_catalog()
-        # admission already solved omega = small_omega(size) and alpha <= 2
-        for size, (omega, alpha) in sorted(catalog._invariants.items()):
-            if size < 5:
-                continue  # the 2-vertex base is trivial plumbing
-            checks.append(CheckResult(
-                f"witness-{size}", PASS,
-                f"{size}-vertex witness: clique {omega} (want {omega}), "
-                f"independence {alpha} (want <= 2)",
-            ))
-        results["witnesses_verified"] = len(checks)
-        for note in catalog.diagnostics:
-            checks.append(CheckResult("external-witness", FAIL, note))
-    elif target == "gap":
-        if not 1 <= args.nmax <= oracle.MAX_ENUM_VERTICES:
-            raise _InputError("gap check is exhaustive; "
-                              f"supports 1 <= --nmax <= {oracle.MAX_ENUM_VERTICES}")
-        for n in range(1, args.nmax + 1):
-            brute = oracle.brute_gap(n)
-            table = oracle.level_stats(n).min_clique_by_chi
-            by_q = max((c - q for c, q in table.items()), default=0)
-            checks.append(CheckResult(
-                f"identity-n={n}", PASS if brute == by_q else FAIL,
-                f"max chi - omega is {brute}; max over c of c - Q(n, c) is {by_q}",
-            ))
-            formula = constructions.chromatic_gap(n)
-            if n >= 3:
-                ok = formula.exact and formula.lo == brute
-                checks.append(CheckResult(
-                    f"formula-n={n}", PASS if ok else FAIL,
-                    f"arithmetic gap {formula} vs exhaustive {brute}",
-                ))
-    inputs = {"target": target, "nmax": args.nmax, "kmax": args.kmax}
-    return f"check {target}", inputs, results, checks
+    return "check gap", {"target": "gap", "nmax": args.nmax}, {}, checks
 
 
 @functools.cache
@@ -303,16 +309,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("check", help="run a verification suite")
-    p.add_argument("target", choices=("theorem1", "theorem2", "catalog", "gap"))
-    p.add_argument("--nmax", type=int, default=oracle.MAX_ENUM_VERTICES)
-    p.add_argument("--kmax", type=int, default=22)
-    p.add_argument("--dump-csv", help="theorem1: write the (n, c, Q) table as CSV")
-    p.add_argument("--dump-graph6", help="theorem1: write enumerated graphs as graph6 lines")
-    p.set_defaults(func=_cmd_check)
+    targets = p.add_subparsers(dest="target", required=True)
+    t = targets.add_parser("theorem1", help="exhaustive Q(n, n - k) census")
+    t.add_argument("--nmax", type=int, default=oracle.MAX_ENUM_VERTICES)
+    t.add_argument("--dump-csv", help="write the (n, c, Q) table as CSV")
+    t.add_argument("--dump-graph6", help="write enumerated graphs as graph6 lines")
+    t.set_defaults(func=_check_theorem1)
+    t = targets.add_parser("theorem2", help="three parts suffice for q(k)")
+    t.add_argument("--kmax", type=int, default=22)
+    t.set_defaults(func=_check_theorem2)
+    t = targets.add_parser("catalog", help="re-verify each stored witness")
+    t.set_defaults(func=_check_catalog)
+    t = targets.add_parser("gap", help="gap identities, exhaustively")
+    t.add_argument("--nmax", type=int, default=oracle.MAX_ENUM_VERTICES)
+    t.set_defaults(func=_check_gap)
 
     p = sub.add_parser("gap", help="largest chi - omega on n vertices")
     p.add_argument("n", type=int)
-    p.add_argument("--mode", choices=("oracle", "formula", "auto"), default="auto")
     p.set_defaults(func=_cmd_gap)
 
     p = sub.add_parser("compose", help="merge two alpha <= 2 graphs")

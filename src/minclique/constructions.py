@@ -193,7 +193,7 @@ def build_extremal(n: int, k: int, catalog: WitnessCatalog | None = None) -> Ext
     blocks = [catalog.witness_alpha2(2 * part + 1) for part in cert.parts]
     extra = n - sum(b.n for b in blocks)
     parts = blocks + ([complete_graph(extra)] if extra else [])
-    graph = join(parts) if parts else complete_graph(0)
+    graph = join(parts)
 
     target_omega = n - 2 * k + value.lo
     omega = solvers.clique_number(graph)

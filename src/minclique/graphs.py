@@ -88,10 +88,6 @@ def bits(mask: int) -> Iterable[int]:
         mask ^= low
 
 
-def _from_rows(n: int, rows: Sequence[int]) -> Graph:
-    return Graph(n, tuple(rows))
-
-
 def from_edges(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     """Graph on n vertices with exactly the given edges (duplicates collapsed)."""
     rows = [0] * n
@@ -102,21 +98,21 @@ def from_edges(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
             raise InvalidEdgeError(f"loop at vertex {u}")
         rows[u] |= 1 << v
         rows[v] |= 1 << u
-    return _from_rows(n, rows)
+    return Graph(n, tuple(rows))
 
 
 def empty_graph(n: int) -> Graph:
-    return _from_rows(n, [0] * n)
+    return Graph(n, (0,) * n)
 
 
 def complete_graph(n: int) -> Graph:
     full = (1 << n) - 1
-    return _from_rows(n, [full ^ (1 << v) for v in range(n)])
+    return Graph(n, tuple(full ^ (1 << v) for v in range(n)))
 
 
 def complement(g: Graph) -> Graph:
     full = (1 << g.n) - 1
-    return _from_rows(g.n, [full & ~row & ~(1 << v) for v, row in enumerate(g.adj)])
+    return Graph(g.n, tuple(full & ~row & ~(1 << v) for v, row in enumerate(g.adj)))
 
 
 def disjoint_union(parts: Sequence[Graph]) -> Graph:
@@ -129,23 +125,20 @@ def disjoint_union(parts: Sequence[Graph]) -> Graph:
     for part in parts:
         rows.extend(row << offset for row in part.adj)
         offset += part.n
-    return _from_rows(total, rows)
+    return Graph(total, tuple(rows))
 
 
 def join(parts: Sequence[Graph]) -> Graph:
     """Disjoint union plus every edge between vertices of distinct parts."""
     if not parts:
         raise ValueError("join of no parts")
-    base = disjoint_union(parts)
-    full = (1 << base.n) - 1
-    rows = []
-    offset = 0
+    full = (1 << sum(p.n for p in parts)) - 1
+    rows: list[int] = []
     for part in parts:
-        part_mask = ((1 << part.n) - 1) << offset
-        for v in range(part.n):
-            rows.append(base.adj[offset + v] | (full & ~part_mask))
-        offset += part.n
-    return _from_rows(base.n, rows)
+        offset = len(rows)
+        outside = full & ~(((1 << part.n) - 1) << offset)
+        rows.extend(row << offset | outside for row in part.adj)
+    return Graph(len(rows), tuple(rows))
 
 
 def induced_subgraph(g: Graph, keep: Iterable[int]) -> Graph:
@@ -159,7 +152,7 @@ def induced_subgraph(g: Graph, keep: Iterable[int]) -> Graph:
         for u in bits(g.adj[v]):
             if u in index:
                 rows[index[v]] |= 1 << index[u]
-    return _from_rows(len(kept), rows)
+    return Graph(len(kept), tuple(rows))
 
 
 def relabel(g: Graph, perm: Sequence[int]) -> Graph:
@@ -170,7 +163,7 @@ def relabel(g: Graph, perm: Sequence[int]) -> Graph:
     for v in range(g.n):
         for u in bits(g.adj[v]):
             rows[perm[v]] |= 1 << perm[u]
-    return _from_rows(g.n, rows)
+    return Graph(g.n, tuple(rows))
 
 
 def circulant(n: int, connections: Iterable[int]) -> Graph:
@@ -256,4 +249,4 @@ def parse_graph6(text: str) -> Graph:
             pos += 1
     if stream & ((1 << (total - nbits)) - 1):
         raise Graph6Error("nonzero padding bits")
-    return _from_rows(n, rows)
+    return Graph(n, tuple(rows))

@@ -233,8 +233,6 @@ class LevelStats:
     number c, the least clique number and a graph attaining it, plus the
     largest chi - omega over the level."""
 
-    n: int
-    class_count: int
     min_clique_by_chi: dict[int, int]
     witness_by_chi: dict[int, Graph]
     max_gap: int
@@ -245,15 +243,13 @@ def level_stats(n: int) -> LevelStats:
     min_clique: dict[int, int] = {}
     witness: dict[int, Graph] = {}
     max_gap = 0
-    count = 0
     for g in enumerate_graphs(n):
-        count += 1
         omega, chi = solvers.clique_and_chromatic_number(g)
         max_gap = max(max_gap, chi - omega)
         if chi not in min_clique or omega < min_clique[chi]:
             min_clique[chi] = omega
             witness[chi] = g
-    return LevelStats(n, count, min_clique, witness, max_gap)
+    return LevelStats(min_clique, witness, max_gap)
 
 
 def brute_Q(n: int, c: int) -> int | None:

@@ -97,7 +97,6 @@ class WitnessCatalog:
 
     def __init__(self, witness_dir: str | Path | None = None):
         self._bases: dict[int, Graph] = {}  # vertex count -> admitted graph
-        self._invariants: dict[int, tuple[int, int]] = {}  # vertex count -> (omega, alpha)
         self._witness_cache: dict[int, Graph] = {}
         self.diagnostics: list[str] = []
         for side in (circulant(2, {1}), circulant(5, {2}), circulant(8, {1, 4}),
@@ -112,11 +111,11 @@ class WitnessCatalog:
         target = small_omega(graph.n)
         if not target.exact:
             raise ValueError(f"clique target for {graph.n} vertices is not exact")
-        self._invariants[graph.n] = self._verify(graph, target.lo, source)
+        self._verify(graph, target.lo, source)
         self._bases[graph.n] = graph
 
     @staticmethod
-    def _verify(graph: Graph, expected_clique: int, source: str) -> tuple[int, int]:
+    def _verify(graph: Graph, expected_clique: int, source: str) -> None:
         alpha = solvers.independence_number(graph)
         if alpha > 2:
             raise ValueError(f"{source}: independence number {alpha} > 2")
@@ -125,7 +124,6 @@ class WitnessCatalog:
             raise ValueError(
                 f"{source}: clique number {omega}, expected {expected_clique}"
             )
-        return omega, alpha
 
     def _load_external(self, directory: Path) -> None:
         if not directory.is_dir():
@@ -188,19 +186,17 @@ class WitnessCatalog:
         return graph
 
     def _construct(self, x: int, w: int) -> Graph | None:
-        # dominating augmentation: base on fewer vertices, smaller clique
+        # dominating augmentation: base on fewer vertices, smaller clique;
+        # admission proved each base's clique number equals small_omega(size)
         candidates = [
-            size for size, (wb, _) in self._invariants.items()
-            if size < x and wb + (x - size) == w
+            size for size in self._bases
+            if size < x and small_omega(size).lo + (x - size) == w
         ]
         if candidates:
             base = self._bases[max(candidates)]
             return join([base, complete_graph(x - base.n)])
         # induced subgraph of a bigger witness with the same clique number
-        candidates = [
-            size for size, (wb, _) in self._invariants.items()
-            if size > x and wb == w
-        ]
+        candidates = [size for size in self._bases if size > x and small_omega(size).lo == w]
         if candidates:
             base = self._bases[min(candidates)]
             return induced_subgraph(base, range(x))

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from minclique import parse_graph6, serialize_graph6
+from minclique import parse_graph6, serialize_graph6, solvers
 from minclique.cli import main
 from minclique.solvers import chromatic_number, clique_number, independence_number
 
@@ -121,18 +121,61 @@ def test_check_gap_small():
     assert all(c["status"] == "pass" for c in payload["checks"])
 
 
-def test_gap_command():
-    code, payload, _ = run_cli("gap", "5", "--mode", "oracle")
-    assert code == 0 and payload["results"]["gap"] == [1, 1]
+def test_gap_command(capsys):
+    code, payload, _ = run_cli("gap", "5")
+    assert code == 0 and payload["results"] == {"gap": [1, 1], "mode": "oracle"}
 
-    code, payload, _ = run_cli("gap", "9", "--mode", "formula")
-    assert code == 0 and payload["results"]["gap"] == [1, 1]
+    code, payload, _ = run_cli("gap", "9")
+    assert code == 0 and payload["results"] == {"gap": [1, 1], "mode": "formula"}
 
     code, payload, _ = run_cli("gap", "6")
     assert code == 0 and payload["results"]["mode"] == "oracle"
 
-    code, payload, err = run_cli("gap", "9", "--mode", "oracle")
-    assert code == 2 and payload is None and "error" in err
+    # n picks the route; argparse reports the removed flag on the process stderr
+    code, payload, _ = run_cli("gap", "9", "--mode", "oracle")
+    assert code == 2 and payload is None and "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ("check", "catalog", "--nmax", "3"),
+    ("check", "catalog", "--dump-csv", "{f}"),
+    ("check", "theorem2", "--nmax", "3"),
+    ("check", "theorem2", "--dump-graph6", "{f}"),
+    ("check", "theorem1", "--kmax", "3"),
+    ("check", "gap", "--kmax", "3"),
+    ("check", "gap", "--dump-csv", "{f}"),
+    ("gap", "5", "--mode", "formula"),
+])
+def test_flag_a_command_does_not_read_is_usage_error(tmp_path, argv):
+    f = tmp_path / "f"
+    code, payload, _ = run_cli(*(a.format(f=f) for a in argv))
+    assert code == 2 and payload is None
+    assert not f.exists()
+
+
+def test_verify_rejects_unknown_property_before_solving(tmp_path, c5, monkeypatch):
+    def unreachable(g):
+        raise AssertionError("chi solved before the property list was checked")
+
+    monkeypatch.setattr(solvers, "clique_and_chromatic_number", unreachable)
+    path = tmp_path / "c5.g6"
+    path.write_text(serialize_graph6(c5) + "\n")
+    code, payload, err = run_cli("verify", str(path), "--props", "chi,girth")
+    assert code == 2 and payload is None and "error:" in err
+
+
+def test_readme_commands_run(tmp_path, monkeypatch, c5):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    commands = [line.split("#", 1)[0].split()[1:]
+                for line in block.splitlines() if line.startswith("minclique ")]
+    assert len(commands) >= 10
+    monkeypatch.chdir(tmp_path)
+    for name in ("a.g6", "b.g6"):
+        (tmp_path / name).write_text(serialize_graph6(c5) + "\n")
+    for argv in commands:  # `witness ... --out w.g6` writes the file `verify` reads
+        code, _, err = run_cli(*argv)
+        assert code == 0, (argv, err)
 
 
 def test_parser_is_built_once(monkeypatch):

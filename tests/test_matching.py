@@ -6,6 +6,8 @@ from minclique import (
     PreconditionError,
     chromatic_number,
     complement,
+    complete_graph,
+    disjoint_union,
     edmonds_gallai,
     empty_graph,
     from_edges,
@@ -171,6 +173,14 @@ def test_partition_report_with_separator():
     assert report.passed
     assert report.separator == frozenset({0})
     assert report.isolated == frozenset({4})
+
+
+def test_partition_report_singletons():
+    # K3 + K1: the complement is a star centred on 3, so 3 separates three singletons
+    report = verify_complement_partition(disjoint_union([complete_graph(3), complete_graph(1)]), 1)
+    assert report.passed
+    assert report.separator == frozenset({3}) and not report.isolated
+    assert [c.kind for c in report.components] == ["singleton"] * 3
 
 
 def test_partition_takes_chi_from_matching(monkeypatch, c5):
