@@ -18,14 +18,12 @@ Commands:
 `main` parses (one parser per process), times, reports and maps errors to
 exit statuses; each command only computes.  `gap` picks its method here:
 the oracle up to `oracle.MAX_ENUM_VERTICES` vertices, the formula beyond.
-
-The RAMSEY_WITNESS_DIR environment variable may point at a directory of
-graph6 files (named "<vertex-count>.g6") with extra extremal witnesses.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import sys
@@ -254,10 +252,7 @@ def _check_catalog(args) -> _Report:
             f"{size}-vertex witness: clique {omega} (want {want}), "
             f"independence {alpha} (want <= 2)",
         ))
-    results = {"witnesses_verified": len(checks)}
-    for note in catalog.diagnostics:
-        checks.append(CheckResult("external-witness", FAIL, note))
-    return "check catalog", {"target": "catalog"}, results, checks
+    return "check catalog", {"target": "catalog"}, {"witnesses_verified": len(checks)}, checks
 
 
 def _check_gap(args) -> _Report:
@@ -340,7 +335,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None, out=sys.stdout, err=sys.stderr) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        # argparse prints usage errors and --help itself; send them to err/out
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(out):
+            args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_INPUT_ERROR if exc.code else EXIT_OK
     started = time.perf_counter()

@@ -12,19 +12,15 @@ wherever x falls between two exactly known Ramsey values.
 
 The catalog stores the complements of the triangle-free graphs that meet
 the lower bounds for R(3, 2..6) (on 2, 5, 8, 13 and 17 vertices) and
-derives witnesses for the in-between sizes.  Nothing is trusted: built-in
-and external graph6 witnesses alike are admitted only if small_omega(n) is
-exact (n <= 39), their independence number is at most 2 and their clique
-number equals small_omega(n); external files that fail are rejected with a
-diagnostic.  Every derived graph is re-verified before it is handed out.
+derives witnesses for the in-between sizes.  Nothing is trusted: each
+built-in base is admitted only if small_omega(n) is exact (n <= 39), its
+independence number is at most 2 and its clique number equals
+small_omega(n).  Every derived graph is re-verified before it is handed out.
 """
 
 from __future__ import annotations
 
-import logging
-import os
-from functools import lru_cache
-from pathlib import Path
+from functools import cache, lru_cache
 
 from .errors import UnsupportedWitnessError
 from .graphs import (
@@ -38,10 +34,6 @@ from .graphs import (
 )
 from .intervals import IntInterval
 from . import solvers
-
-log = logging.getLogger(__name__)
-
-WITNESS_DIR_ENV = "RAMSEY_WITNESS_DIR"
 
 # Exact values R(3, ell) for ell = 1..9, then published brackets.
 _EXACT_R3 = (1, 3, 6, 9, 14, 18, 23, 28, 36)
@@ -88,22 +80,17 @@ _G17_TRIANGLE_FREE = "P??_eM_d?[HU}?OI[@?qBIcO"
 class WitnessCatalog:
     """Verified extremal graphs with independence number <= 2.
 
-    Built-in witnesses cover clique numbers up to 5 (17 vertices); larger
-    ones (22, 27, 35 vertices) may be supplied as graph6 files in a
-    directory, named by vertex count ("22.g6").  Built-in and external
-    graphs go through the same admission check (see `_admit`).  Files that
-    fail to parse or to verify are skipped and recorded in `diagnostics`.
+    The built-in bases cover clique numbers up to 5 (17 vertices); each
+    passes the admission check (see `_admit`) when the catalog is built.
+    Other sizes are derived from them on demand (see `witness_alpha2`).
     """
 
-    def __init__(self, witness_dir: str | Path | None = None):
+    def __init__(self):
         self._bases: dict[int, Graph] = {}  # vertex count -> admitted graph
         self._witness_cache: dict[int, Graph] = {}
-        self.diagnostics: list[str] = []
         for side in (circulant(2, {1}), circulant(5, {2}), circulant(8, {1, 4}),
                      circulant(13, {1, 5}), parse_graph6(_G17_TRIANGLE_FREE)):
             self._admit(complement(side), f"built-in witness on {side.n} vertices")
-        if witness_dir is not None:
-            self._load_external(Path(witness_dir))
 
     def _admit(self, graph: Graph, source: str) -> None:
         """Store graph as the base for its vertex count if small_omega(n) is
@@ -124,28 +111,6 @@ class WitnessCatalog:
             raise ValueError(
                 f"{source}: clique number {omega}, expected {expected_clique}"
             )
-
-    def _load_external(self, directory: Path) -> None:
-        if not directory.is_dir():
-            self.diagnostics.append(f"witness directory {directory} does not exist")
-            log.warning("witness directory %s does not exist", directory)
-            return
-        for path in sorted(directory.iterdir()):
-            if not path.is_file():
-                continue
-            try:
-                size = int(path.stem)
-            except ValueError:
-                self.diagnostics.append(f"{path.name}: name is not a vertex count")
-                continue
-            try:
-                graph = parse_graph6(path.read_text().strip().splitlines()[0])
-                if graph.n != size:
-                    raise ValueError(f"file encodes {graph.n} vertices, name says {size}")
-                self._admit(graph, path.name)
-            except (ValueError, IndexError) as exc:
-                self.diagnostics.append(f"{path.name}: rejected: {exc}")
-                log.warning("rejected witness file %s: %s", path.name, exc)
 
     def base_sizes(self) -> tuple[int, ...]:
         return tuple(sorted(self._bases))
@@ -203,13 +168,7 @@ class WitnessCatalog:
         return None
 
 
-_default_catalog: WitnessCatalog | None = None
-
-
+@cache
 def default_catalog() -> WitnessCatalog:
-    """Process-wide catalog; honors the RAMSEY_WITNESS_DIR environment
-    variable on first use."""
-    global _default_catalog
-    if _default_catalog is None:
-        _default_catalog = WitnessCatalog(os.environ.get(WITNESS_DIR_ENV))
-    return _default_catalog
+    """Process-wide catalog, built and verified on first use."""
+    return WitnessCatalog()

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from minclique import parse_graph6, serialize_graph6, solvers
+from minclique import oracle, parse_graph6, serialize_graph6, solvers
 from minclique.cli import main
 from minclique.solvers import chromatic_number, clique_number, independence_number
 
@@ -121,7 +121,7 @@ def test_check_gap_small():
     assert all(c["status"] == "pass" for c in payload["checks"])
 
 
-def test_gap_command(capsys):
+def test_gap_command():
     code, payload, _ = run_cli("gap", "5")
     assert code == 0 and payload["results"] == {"gap": [1, 1], "mode": "oracle"}
 
@@ -131,9 +131,15 @@ def test_gap_command(capsys):
     code, payload, _ = run_cli("gap", "6")
     assert code == 0 and payload["results"]["mode"] == "oracle"
 
-    # n picks the route; argparse reports the removed flag on the process stderr
-    code, payload, _ = run_cli("gap", "9", "--mode", "oracle")
-    assert code == 2 and payload is None and "error" in capsys.readouterr().err
+    # n picks the route; argparse reports the removed flag on main's err
+    code, payload, err = run_cli("gap", "9", "--mode", "oracle")
+    assert code == 2 and payload is None and "error" in err
+
+
+def test_help_goes_to_out():
+    out, err = io.StringIO(), io.StringIO()
+    assert main(["check", "--help"], out=out, err=err) == 0
+    assert "usage:" in out.getvalue() and err.getvalue() == ""
 
 
 @pytest.mark.parametrize("argv", [
@@ -148,8 +154,8 @@ def test_gap_command(capsys):
 ])
 def test_flag_a_command_does_not_read_is_usage_error(tmp_path, argv):
     f = tmp_path / "f"
-    code, payload, _ = run_cli(*(a.format(f=f) for a in argv))
-    assert code == 2 and payload is None
+    code, payload, err = run_cli(*(a.format(f=f) for a in argv))
+    assert code == 2 and payload is None and "error:" in err
     assert not f.exists()
 
 
@@ -254,20 +260,14 @@ def test_bad_usage(tmp_path, c5):
         assert code == 2 and payload is None and "error:" in err
 
 
-def test_witness_dir_env_and_failure_exit(tmp_path, monkeypatch):
-    import minclique.ramsey as ramsey_mod
-
-    (tmp_path / "6.g6").write_text("D?{\n")  # 5 vertices, name says 6: rejected
-    monkeypatch.setenv("RAMSEY_WITNESS_DIR", str(tmp_path))
-    monkeypatch.setattr(ramsey_mod, "_default_catalog", None)
-    try:
-        code, payload, err = run_cli("check", "catalog")
-        assert code == 1
-        failed = [c for c in payload["checks"] if c["status"] == "fail"]
-        assert failed and "6.g6" in failed[0]["condition"]
-        assert "FAIL" in err
-    finally:
-        ramsey_mod._default_catalog = None  # do not leak into other tests
+def test_failed_check_exits_1(monkeypatch):
+    wrong = list(oracle.KNOWN_CLASS_COUNTS)
+    wrong[3] += 1
+    monkeypatch.setattr(oracle, "KNOWN_CLASS_COUNTS", tuple(wrong))
+    code, payload, err = run_cli("check", "theorem1", "--nmax", "3")
+    assert code == 1
+    assert payload["command"] == "check theorem1"
+    assert "FAIL count-n=3" in err
 
 
 def test_json_shape_roundtrip():
@@ -276,7 +276,7 @@ def test_json_shape_roundtrip():
     assert json.loads(json.dumps(payload)) == payload
 
 
-def test_python_dash_m_entry_point():
+def test_python_dash_m_entry_point(tmp_path):
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
@@ -287,3 +287,13 @@ def test_python_dash_m_entry_point():
     assert proc.returncode == 0, proc.stderr
     payload = json.loads(proc.stdout)
     assert payload["results"]["q"] == [2, 2]
+
+    # answers depend only on argv: the catalog ignores RAMSEY_WITNESS_DIR
+    (tmp_path / "6.g6").write_text("D?{\n")  # 5 vertices under a 6-vertex name
+    proc = subprocess.run(
+        [sys.executable, "-m", "minclique", "check", "catalog"],
+        capture_output=True, text=True, timeout=60,
+        env=dict(env, RAMSEY_WITNESS_DIR=str(tmp_path)),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["results"]["witnesses_verified"] == 4

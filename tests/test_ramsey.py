@@ -11,7 +11,6 @@ from minclique import (
     empty_graph,
     independence_number,
     r3,
-    serialize_graph6,
     small_omega,
 )
 
@@ -112,24 +111,13 @@ def test_witness_unsupported(catalog):
         catalog.witness_alpha2(0)
 
 
-def test_external_witness_ingestion(tmp_path, catalog, c5):
-    good = catalog.witness_alpha2(18)
-    (tmp_path / "18.g6").write_text(serialize_graph6(good) + "\n")
-    (tmp_path / "5.g6").write_text(serialize_graph6(c5) + "\n")
-    loaded = WitnessCatalog(tmp_path)
-    assert 18 in loaded.base_sizes()
-    assert not loaded.diagnostics
-    assert loaded.witness_alpha2(18) == good  # served from storage, verified
-
-
-def test_external_35_vertex_base_serves_36(tmp_path):
+def test_external_35_vertex_base_serves_36():
     # complement of the triangle-free C35(1, 7, 11, 16): omega 8, alpha 2
-    (tmp_path / "35.g6").write_text(
-        serialize_graph6(complement(circulant(35, {1, 7, 11, 16}))) + "\n"
-    )
-    loaded = WitnessCatalog(tmp_path)
-    assert not loaded.diagnostics
+    w35 = complement(circulant(35, {1, 7, 11, 16}))
+    loaded = WitnessCatalog()
+    loaded._admit(w35, "C35 complement")
     assert 35 in loaded.base_sizes()
+    assert loaded.witness_alpha2(35) == w35  # served as stored
     g = loaded.witness_alpha2(36)  # one dominating vertex on the 35-vertex base
     assert g.n == 36
     assert clique_number(g) == 9 == small_omega(36).lo
@@ -138,24 +126,12 @@ def test_external_35_vertex_base_serves_36(tmp_path):
         loaded.witness_alpha2(40)  # small_omega(40) = [9, 10] is open
 
 
-def test_external_witness_rejection(tmp_path, c5):
-    (tmp_path / "6.g6").write_text(serialize_graph6(c5) + "\n")  # wrong count
-    (tmp_path / "3.g6").write_text(serialize_graph6(complement(c5)) + "\n")  # unparsable count mismatch
-    (tmp_path / "notanumber.g6").write_text("D?{\n")
-    (tmp_path / "4.g6").write_text("not graph6 at all!!\n")
-    (tmp_path / "5.g6").write_text(serialize_graph6(complete_graph(5)) + "\n")
-    (tmp_path / "8.g6").write_text(serialize_graph6(empty_graph(8)) + "\n")
-    (tmp_path / "40.g6").write_text(serialize_graph6(complete_graph(40)) + "\n")
-    loaded = WitnessCatalog(tmp_path)
-    assert len(loaded.diagnostics) == 7
-    for name, reason in (("5.g6", "clique number 5, expected 2"),
-                         ("8.g6", "independence number 8 > 2"),
-                         ("40.g6", "not exact")):
-        assert any(d.startswith(name) and reason in d for d in loaded.diagnostics), name
+def test_external_witness_rejection(c5):
+    loaded = WitnessCatalog()
+    for graph, reason in ((complete_graph(5), "clique number 5, expected 2"),
+                          (empty_graph(8), "independence number 8 > 2"),
+                          (complete_graph(40), "not exact")):
+        with pytest.raises(ValueError, match=reason):
+            loaded._admit(graph, "candidate")
     assert loaded.base_sizes() == WitnessCatalog().base_sizes()
     assert loaded.witness_alpha2(5) == c5  # the built-in base was not replaced
-
-
-def test_missing_witness_dir_is_diagnosed(tmp_path):
-    loaded = WitnessCatalog(tmp_path / "absent")
-    assert loaded.diagnostics
