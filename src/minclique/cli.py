@@ -116,7 +116,7 @@ def _cmd_q(args) -> _Report:
 
 
 def _cmd_witness(args) -> _Report:
-    witness = constructions.build_extremal(args.n, args.k, default_catalog())
+    witness = constructions.build_extremal(args.n, args.k)
     g6 = serialize_graph6(witness.graph)
     if args.out:
         _write_text(args.out, g6 + "\n")
@@ -176,7 +176,7 @@ def _cmd_compose(args) -> _Report:
     clique1 = _parse_vertex_list(args.clique1)
     clique2 = _parse_vertex_list(args.clique2)
     inp = constructions.ComposeInput.build(g1, g2, clique1, clique2)
-    merged, alpha = constructions._compose_alpha2(inp)
+    merged, alpha = constructions.compose_alpha2(inp)
     g6 = serialize_graph6(merged)
     if args.out:
         _write_text(args.out, g6 + "\n")
@@ -210,7 +210,7 @@ def _parse_vertex_list(text: str | None) -> tuple[int, ...] | None:
 def _check_theorem1(args) -> _Report:
     if args.nmax < 0:
         raise _InputError("theorem1 check needs --nmax >= 0")
-    checks = list(oracle.verify_clique_formula(args.nmax).entries)
+    checks = list(oracle.verify_clique_formula(args.nmax))
     counts = [oracle.count_graphs(n) for n in range(args.nmax + 1)]
     results = {"pairs_checked": len(checks), "class_counts": counts}
     for n, got in enumerate(counts):
@@ -269,12 +269,11 @@ def _check_gap(args) -> _Report:
             f"max chi - omega is {brute}; max over c of c - Q(n, c) is {by_q}",
         ))
         formula = constructions.chromatic_gap(n)
-        if n >= 3:
-            ok = formula.exact and formula.lo == brute
-            checks.append(CheckResult(
-                f"formula-n={n}", PASS if ok else FAIL,
-                f"arithmetic gap {formula} vs exhaustive {brute}",
-            ))
+        ok = formula.exact and formula.lo == brute
+        checks.append(CheckResult(
+            f"formula-n={n}", PASS if ok else FAIL,
+            f"arithmetic gap {formula} vs exhaustive {brute}",
+        ))
     return "check gap", {"target": "gap", "nmax": args.nmax}, {}, checks
 
 

@@ -24,10 +24,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import CapacityError, PreconditionError
-from .graphs import MAX_VERTICES, Graph, complement, complete_graph, from_edges, join
+from .graphs import (MAX_VERTICES, Graph, bits, complement, complete_graph, from_edges,
+                     induced_subgraph, join)
 from .intervals import IntInterval, interval_max
 from .qfunction import QCertificate, q
-from .ramsey import WitnessCatalog, default_catalog, r3
+from .ramsey import default_catalog, r3
 from . import matching, solvers
 
 
@@ -95,7 +96,7 @@ def _lex_first_clique(g: Graph, size: int) -> tuple[int, ...]:
             if not cand >> v & 1:
                 continue
             rest = cand & g.adj[v] & (~0 << (v + 1))
-            if solvers._max_clique_within(g, rest)[0] >= size - len(chosen) - 1:
+            if solvers.clique_number(induced_subgraph(g, bits(rest))) >= size - len(chosen) - 1:
                 chosen.append(v)
                 cand = rest
                 break
@@ -104,15 +105,10 @@ def _lex_first_clique(g: Graph, size: int) -> tuple[int, ...]:
     return tuple(chosen)
 
 
-def compose_alpha2(inp: ComposeInput) -> Graph:
-    """The merge described in the module docstring; output verified to have
-    independence number <= 2 and clique number omega(g1) + omega(g2)."""
-    return _compose_alpha2(inp)[0]
-
-
-def _compose_alpha2(inp: ComposeInput) -> tuple[Graph, int]:
-    """compose_alpha2's graph together with the independence number it
-    verified."""
+def compose_alpha2(inp: ComposeInput) -> tuple[Graph, int]:
+    """The merge described in the module docstring, with the independence
+    number it verified: at most 2, and the clique number is verified to be
+    omega(g1) + omega(g2)."""
     g1, g2 = inp.g1, inp.g2
     omega1, omega2 = inp.omega1, inp.omega2
     n1, n2 = g1.n, g2.n
@@ -171,7 +167,7 @@ class ExtremalWitness:
     certificate: QCertificate
 
 
-def build_extremal(n: int, k: int, catalog: WitnessCatalog | None = None) -> ExtremalWitness:
+def build_extremal(n: int, k: int) -> ExtremalWitness:
     """Construct and verify the extremal graph for the pair (n, k).
 
     Requires n >= 2k + 3 (below that the formula is not established) and an
@@ -188,8 +184,7 @@ def build_extremal(n: int, k: int, catalog: WitnessCatalog | None = None) -> Ext
         raise PreconditionError(
             f"q({k}) is only known to lie in {value}; cannot certify an extremal graph"
         )
-    if catalog is None:
-        catalog = default_catalog()
+    catalog = default_catalog()
     blocks = [catalog.witness_alpha2(2 * part + 1) for part in cert.parts]
     extra = n - sum(b.n for b in blocks)
     parts = blocks + ([complete_graph(extra)] if extra else [])

@@ -53,7 +53,7 @@ class Graph:
 
     def degree(self, v: int) -> int:
         self._check_vertex(v)
-        return popcount(self.adj[v])
+        return self.adj[v].bit_count()
 
     def edges(self) -> list[tuple[int, int]]:
         """All edges (u, v) with u < v, in lexicographic order."""
@@ -66,7 +66,7 @@ class Graph:
 
     @property
     def num_edges(self) -> int:
-        return sum(popcount(row) for row in self.adj) // 2
+        return sum(row.bit_count() for row in self.adj) // 2
 
     def _check_vertex(self, v: int) -> None:
         if not 0 <= v < self.n:
@@ -74,10 +74,6 @@ class Graph:
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, edges={self.edges()!r})"
-
-
-def popcount(mask: int) -> int:
-    return mask.bit_count()
 
 
 def bits(mask: int) -> Iterable[int]:
@@ -192,18 +188,12 @@ def serialize_graph6(g: Graph) -> str:
         header = "~" + "".join(
             chr(63 + (g.n >> shift & 63)) for shift in (12, 6, 0)
         )
-    bitbuf = []
-    for col in range(1, g.n):
-        for row in range(col):
-            bitbuf.append(g.adj[row] >> col & 1)
-    while len(bitbuf) % 6:
-        bitbuf.append(0)
-    body = "".join(
-        chr(63 + (bitbuf[i] << 5 | bitbuf[i + 1] << 4 | bitbuf[i + 2] << 3
-                  | bitbuf[i + 3] << 2 | bitbuf[i + 4] << 1 | bitbuf[i + 5]))
-        for i in range(0, len(bitbuf), 6)
+    # column c is the low c bits of adj[c], row 0 first
+    stream = "".join(format(g.adj[c] & ((1 << c) - 1), f"0{c}b")[::-1] for c in range(1, g.n))
+    stream += "0" * (-len(stream) % 6)
+    return header + "".join(
+        chr(63 + int(stream[i:i + 6], 2)) for i in range(0, len(stream), 6)
     )
-    return header + body
 
 
 def parse_graph6(text: str) -> Graph:
@@ -235,18 +225,14 @@ def parse_graph6(text: str) -> Graph:
         raise Graph6Error(f"truncated bit stream: {len(body)} bytes, need {expected}")
     if len(body) > expected:
         raise Graph6Error(f"{len(body) - expected} trailing bytes after bit stream")
-    stream = 0
-    for ch in body:
-        stream = stream << 6 | (ord(ch) - 63)
-    total = 6 * len(body)
-    rows = [0] * n
-    pos = 0
-    for col in range(1, n):
-        for row in range(col):
-            if stream >> (total - 1 - pos) & 1:
-                rows[row] |= 1 << col
-                rows[col] |= 1 << row
-            pos += 1
-    if stream & ((1 << (total - nbits)) - 1):
+    stream = "".join(format(ord(ch) - 63, "06b") for ch in body)
+    if "1" in stream[nbits:]:
         raise Graph6Error("nonzero padding bits")
+    rows = [0] * n
+    for c in range(1, n):
+        start = c * (c - 1) // 2
+        column = int(stream[start:start + c][::-1], 2)
+        rows[c] |= column
+        for r in bits(column):
+            rows[r] |= 1 << c
     return Graph(n, tuple(rows))

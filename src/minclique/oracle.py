@@ -60,7 +60,7 @@ import functools
 from dataclasses import dataclass
 
 from .errors import CapacityError
-from .graphs import Graph, popcount
+from .graphs import Graph
 from .qfunction import q
 from .reports import FAIL, PASS, CheckResult
 from . import solvers
@@ -70,19 +70,10 @@ MAX_ENUM_VERTICES = 8
 KNOWN_CLASS_COUNTS = (1, 1, 2, 4, 11, 34, 156, 1044, 12346)
 
 
-@dataclass(frozen=True)
-class CanonicalForm:
-    """Complete isomorphism invariant for small graphs: n plus the minimal
-    upper-triangle bit string (one character per pair, column order)."""
-
-    n: int
-    bits: str
-
-
-def canonical_form(g: Graph) -> CanonicalForm:
-    cols = _canonical_columns(g.n, g.adj)
-    text = "".join(format(col, f"0{j}b") for j, col in enumerate(cols, start=1))
-    return CanonicalForm(g.n, text)
+def canonical_form(g: Graph) -> tuple[int, tuple[int, ...]]:
+    """Complete isomorphism invariant for small graphs: n plus the columns
+    of the minimal upper-triangle bit string."""
+    return g.n, _canonical_columns(g.n, g.adj, _vertex_keys(g.n, g.adj))
 
 
 def _vertex_keys(n: int, adj: tuple[int, ...] | list[int]) -> list[tuple]:
@@ -100,14 +91,12 @@ def _vertex_keys(n: int, adj: tuple[int, ...] | list[int]) -> list[tuple]:
     return keys
 
 
-def _canonical_columns(n: int, adj, keys: list[tuple] | None = None) -> tuple[int, ...]:
+def _canonical_columns(n: int, adj, keys: list[tuple]) -> tuple[int, ...]:
     """Columns of the minimal bit string; column j has j bits, the
     adjacency of position j to positions 0..j-1 (most significant first).
-    `keys`, when given, must be `_vertex_keys(n, adj)`."""
+    `keys` must be `_vertex_keys(n, adj)`."""
     if n <= 1:
         return ()
-    if keys is None:
-        keys = _vertex_keys(n, adj)
     order = sorted(range(n), key=lambda v: (keys[v], v))
     groups: list[list[int]] = []
     for v in order:
@@ -182,14 +171,14 @@ def _ensure_level(n: int) -> None:
         m = len(_levels) - 1
         seen: dict[tuple[int, ...], tuple[int, ...]] = {}
         for rows in prev:
-            # popcount(mask) >= degs[v] + (mask >> v & 1) for every v holds
+            # mask.bit_count() >= degs[v] + (mask >> v & 1) for every v holds
             # iff the new degree exceeds the parent's maximum degree, or
             # equals it and the mask avoids every vertex of that degree
-            degs = [popcount(row) for row in rows]
+            degs = [row.bit_count() for row in rows]
             top = max(degs, default=0)
             top_mask = sum(1 << v for v, d in enumerate(degs) if d == top)
             for mask in range(1 << m):
-                d = popcount(mask)
+                d = mask.bit_count()
                 if d < top or (d == top and mask & top_mask):
                     continue
                 child = tuple(
@@ -266,17 +255,7 @@ def brute_gap(n: int) -> int:
     return level_stats(n).max_gap
 
 
-@dataclass(frozen=True)
-class FormulaReport:
-    n_max: int
-    entries: tuple[CheckResult, ...]
-
-    @property
-    def passed(self) -> bool:
-        return all(e.passed for e in self.entries)
-
-
-def verify_clique_formula(n_max: int) -> FormulaReport:
+def verify_clique_formula(n_max: int) -> tuple[CheckResult, ...]:
     """Exhaustively confirm, for every n <= n_max and every k with
     n >= 2k + 3, that the least clique number at chromatic number n - k
     equals n - 2k + q(k)."""
@@ -295,7 +274,7 @@ def verify_clique_formula(n_max: int) -> FormulaReport:
                 f"min clique at chi = {n - k} on {n} vertices is {actual}, "
                 f"formula gives {n} - {2 * k} + {qk.lo} = {expected}",
             ))
-    return FormulaReport(n_max, tuple(entries))
+    return tuple(entries)
 
 
 def export_q_table_csv(n_max: int) -> str:

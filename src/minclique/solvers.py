@@ -27,18 +27,18 @@ independent).
 
 from __future__ import annotations
 
-from .graphs import Graph, bits, complement, popcount
+from .graphs import Graph, bits, complement
 
 
 def max_clique(g: Graph) -> frozenset[int]:
     """A maximum clique of g (deterministic choice)."""
-    size, members, _ = _max_clique_within(g, (1 << g.n) - 1)
+    size, members, _ = _max_clique_within(g)
     assert size == len(members)
     return frozenset(members)
 
 
 def clique_number(g: Graph) -> int:
-    return _max_clique_within(g, (1 << g.n) - 1)[0]
+    return _max_clique_within(g)[0]
 
 
 def independence_number(g: Graph) -> int:
@@ -52,7 +52,7 @@ def chromatic_number(g: Graph) -> int:
 def clique_and_chromatic_number(g: Graph) -> tuple[int, int]:
     """(omega, chi) of g, from one clique search and, only when its greedy
     bound exceeds omega, a k-colorability search."""
-    omega, clique, upper = _max_clique_within(g, (1 << g.n) - 1)
+    omega, clique, upper = _max_clique_within(g)
     if upper == omega:
         return omega, upper
     alpha = independence_number(g)
@@ -72,20 +72,19 @@ def is_k_colorable(g: Graph, k: int) -> bool:
 # -- clique branch and bound ------------------------------------------------
 
 
-def _max_clique_within(g: Graph, mask: int) -> tuple[int, tuple[int, ...], int]:
-    """Maximum clique of the subgraph induced on `mask` (original labels), as
-    (size, sorted members, color count of the root coloring).  The root
-    coloring fills one class at a time in vertex order, which by induction
-    on classes is first-fit in that order: an upper bound on chi."""
-    verts = [v for v in range(g.n) if mask >> v & 1]
-    if not verts:
+def _max_clique_within(g: Graph) -> tuple[int, tuple[int, ...], int]:
+    """Maximum clique of g as (size, sorted members, color count of the
+    root coloring).  The root coloring fills one class at a time in vertex
+    order, which by induction on classes is first-fit in that order: an
+    upper bound on chi."""
+    if not g.n:
         return 0, (), 0
-    verts.sort(key=lambda v: (-popcount(g.adj[v] & mask), v))
+    verts = sorted(range(g.n), key=lambda v: (-g.adj[v].bit_count(), v))
     pos = {v: i for i, v in enumerate(verts)}
     radj = [0] * len(verts)
     for v in verts:
         row = 0
-        for u in bits(g.adj[v] & mask):
+        for u in bits(g.adj[v]):
             row |= 1 << pos[u]
         radj[pos[v]] = row
 
@@ -153,7 +152,7 @@ def _colorable(g: Graph, k: int, clique: tuple[int, ...]) -> bool:
         for u in bits(g.adj[v]):
             forbidden[u] |= 1 << c
     max_used = len(clique) - 1
-    neg_degree = [-popcount(row) for row in g.adj]
+    neg_degree = [-row.bit_count() for row in g.adj]
 
     def pick() -> int:
         window = (1 << min(max_used + 2, k)) - 1
@@ -162,7 +161,7 @@ def _colorable(g: Graph, k: int, clique: tuple[int, ...]) -> bool:
         for v in range(n):
             if colors[v] >= 0:
                 continue
-            avail = popcount(window & ~forbidden[v])
+            avail = (window & ~forbidden[v]).bit_count()
             key = (avail, neg_degree[v], v)
             if best_key is None or key < best_key:
                 best_key = key

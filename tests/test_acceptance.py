@@ -72,7 +72,7 @@ def test_criterion_02_formula_at_desk_scale():
                f"{sum(KNOWN_CLASS_COUNTS)} isomorphism classes ({elapsed:.1f} s)")
 
 
-def test_criterion_03_small_value_table(catalog):
+def test_criterion_03_small_value_table():
     t0 = time.perf_counter()
     # published values of the minimum clique number at chi = n - k, n = 2k+3
     omega_of_n = [
@@ -81,7 +81,7 @@ def test_criterion_03_small_value_table(catalog):
     ]
     for k in range(7):
         n = 2 * k + 3
-        witness = build_extremal(n, k, catalog)
+        witness = build_extremal(n, k)
         assert witness.chi == n - k
         assert witness.omega == n - 2 * k + q_value(k).lo
         assert witness.omega == omega_of_n[k](n), (n, k)
@@ -108,14 +108,14 @@ def test_criterion_04_catalog_certification(catalog):
 
 
 def test_criterion_05_composition(catalog, c5):
-    h1 = compose_alpha2(ComposeInput.build(c5, c5))
+    h1, _ = compose_alpha2(ComposeInput.build(c5, c5))
     assert h1.n == 12
     assert clique_number(h1) == 4
     assert independence_number(h1) <= 2
     assert h1.n <= 13  # R(3, 2 + 2 + 1) - 1
 
     w8 = catalog.witness_alpha2(8)
-    h2 = compose_alpha2(ComposeInput.build(w8, c5))
+    h2, _ = compose_alpha2(ComposeInput.build(w8, c5))
     assert h2.n == 15
     assert clique_number(h2) == 5
     assert independence_number(h2) <= 2

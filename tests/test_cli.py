@@ -119,6 +119,9 @@ def test_check_gap_small():
     code, payload, _ = run_cli("check", "gap", "--nmax", "6")
     assert code == 0
     assert all(c["status"] == "pass" for c in payload["checks"])
+    assert [c["name"] for c in payload["checks"]] == [
+        f"{kind}-n={n}" for n in range(1, 7) for kind in ("identity", "formula")
+    ]
 
 
 def test_gap_command():

@@ -1,4 +1,5 @@
 import io
+import itertools
 import json
 
 import pytest
@@ -20,12 +21,16 @@ from minclique import (
     serialize_graph6,
 )
 from minclique.cli import main
-from minclique.constructions import ComposeInput, eq4_upper_bound
-from minclique.oracle import MAX_ENUM_VERTICES, brute_gap
+from minclique.constructions import ComposeInput, _lex_first_clique, eq4_upper_bound
+from minclique.oracle import MAX_ENUM_VERTICES, brute_gap, enumerate_graphs
 
 
-def test_compose_c5_c5(c5, catalog):
-    h = compose_alpha2(ComposeInput.build(c5, c5))
+def test_compose_c5_c5(c5):
+    inp = ComposeInput.build(c5, c5)
+    assert (inp.clique1, inp.clique2) == ((0, 1), (0, 1))
+    h, alpha = compose_alpha2(inp)
+    assert alpha == 2
+    assert serialize_graph6(h) == "Khcx~vx~M[{x"
     assert h.n == 12
     assert clique_number(h) == 4
     assert independence_number(h) <= 2
@@ -34,7 +39,11 @@ def test_compose_c5_c5(c5, catalog):
 
 def test_compose_w8_c5(c5, catalog):
     w8 = catalog.witness_alpha2(8)
-    h = compose_alpha2(ComposeInput.build(w8, c5))
+    inp = ComposeInput.build(w8, c5)
+    assert (inp.clique1, inp.clique2) == ((0, 2), (0, 1))
+    h, alpha = compose_alpha2(inp)
+    assert alpha == 2
+    assert serialize_graph6(h) == "NUYurX^V~}~x~xlktnG"
     assert h.n == 15
     assert clique_number(h) == 5
     assert independence_number(h) <= 2
@@ -43,7 +52,7 @@ def test_compose_w8_c5(c5, catalog):
 
 def test_compose_k2_k2():
     k2 = complete_graph(2)
-    h = compose_alpha2(ComposeInput.build(k2, k2, (0, 1), (0, 1)))
+    h, _ = compose_alpha2(ComposeInput.build(k2, k2, (0, 1), (0, 1)))
     assert h.n == 6
     assert clique_number(h) == 4
     assert independence_number(h) <= 2
@@ -51,7 +60,7 @@ def test_compose_k2_k2():
 
 def test_compose_restricts_to_factors(c5):
     inp = ComposeInput.build(c5, c5)
-    h = compose_alpha2(inp)
+    h, _ = compose_alpha2(inp)
     assert induced_subgraph(h, range(5)) == c5
     assert induced_subgraph(h, range(5, 10)) == c5
     # R u V1 and R u U2 are cliques of size 2 * omega2
@@ -66,6 +75,18 @@ def test_compose_restricts_to_factors(c5):
             assert not h.has_edge(a, 5 + b)
 
 
+def test_lex_first_clique_is_first_combination():
+    # the default compose cliques, against brute force over the census
+    for n in range(7):
+        for g in enumerate_graphs(n):
+            for size in range(1, clique_number(g) + 1):
+                first = next(
+                    c for c in itertools.combinations(range(n), size)
+                    if all(g.has_edge(u, v) for u, v in itertools.combinations(c, 2))
+                )
+                assert _lex_first_clique(g, size) == first, (g, size)
+
+
 def test_compose_input_errors(c5):
     with pytest.raises(PreconditionError):
         ComposeInput.build(c5, complete_graph(3))  # omega1 < omega2
@@ -77,29 +98,27 @@ def test_compose_input_errors(c5):
         ComposeInput.build(c5, c5, (0,), (0, 1))  # wrong size
 
 
-def test_build_extremal_examples(catalog):
-    w = build_extremal(7, 2, catalog)
+def test_build_extremal_examples():
+    w = build_extremal(7, 2)
     assert (w.omega, w.chi) == (4, 5)
     assert w.certificate.parts == (2,)
+    assert serialize_graph6(w.graph) == "Fhf~w"  # the README tour
 
-    w = build_extremal(5, 1, catalog)
+    w = build_extremal(5, 1)
     assert (w.omega, w.chi) == (4, 4)
 
-    w = build_extremal(9, 3, catalog)
+    w = build_extremal(9, 3)
     assert (w.omega, w.chi) == (5, 6)
 
-    w = build_extremal(5, 0, catalog)
+    w = build_extremal(5, 0)
     assert w.graph == complete_graph(5)
 
-    w = build_extremal(7, 2)  # the default catalog, as in the README tour
-    assert serialize_graph6(w.graph) == "Fhf~w"
 
-
-def test_build_extremal_verified_by_solvers(catalog):
+def test_build_extremal_verified_by_solvers():
     # (17, 7) and (19, 8) use the 15- and 17-vertex blocks, so every block
     # size the catalog serves has its matching-certified chi re-solved here
     for n, k in [(7, 2), (8, 2), (9, 3), (10, 3), (11, 4), (17, 7), (19, 8)]:
-        w = build_extremal(n, k, catalog)
+        w = build_extremal(n, k)
         assert chromatic_number(w.graph) == n - k == w.chi
         assert clique_number(w.graph) == n - 2 * k + q_value(k).lo == w.omega
         assert w.graph.n == n
@@ -109,23 +128,23 @@ def test_build_extremal_join_identity(catalog):
     # the clique number of the join is the sum of the dominating-vertex
     # count and the block clique numbers
     for n, k in [(9, 3), (11, 4)]:
-        w = build_extremal(n, k, catalog)
+        w = build_extremal(n, k)
         blocks = [catalog.witness_alpha2(2 * p + 1) for p in w.certificate.parts]
         expected = n - sum(b.n for b in blocks) + sum(clique_number(b) for b in blocks)
         assert w.omega == expected
 
 
-def test_build_extremal_errors(catalog):
+def test_build_extremal_errors():
     with pytest.raises(PreconditionError):
-        build_extremal(6, 2, catalog)
+        build_extremal(6, 2)
     with pytest.raises(PreconditionError):
-        build_extremal(4, 1, catalog)
+        build_extremal(4, 1)
     with pytest.raises(PreconditionError):
-        build_extremal(43, 20, catalog)  # q(20) not exact
+        build_extremal(43, 20)  # q(20) not exact
     with pytest.raises(CapacityError):
-        build_extremal(65, 0, catalog)
+        build_extremal(65, 0)
     with pytest.raises(PreconditionError):
-        build_extremal(7, -1, catalog)
+        build_extremal(7, -1)
 
 
 def test_gap_oracle_small():

@@ -170,6 +170,23 @@ def test_graph6_roundtrip_random():
         assert parse_graph6(serialize_graph6(g)) == g
 
 
+def test_graph6_matches_networkx():
+    # an independent codec in both directions; the long form starts at n = 63
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(17)
+    for n in [*range(1, 65), 62, 63, 64, 62, 63, 64]:
+        g = random_graph(rng, n, rng.random())
+        h = nx.Graph()
+        h.add_nodes_from(range(n))
+        h.add_edges_from(g.edges())
+        theirs = nx.to_graph6_bytes(h, header=False).decode().strip()
+        assert serialize_graph6(g) == theirs
+        assert parse_graph6(theirs) == g
+        back = nx.from_graph6_bytes(serialize_graph6(g).encode())
+        assert back.number_of_nodes() == n
+        assert from_edges(n, back.edges()) == g
+
+
 def test_graph6_roundtrip_large():
     rng = random.Random(13)
     for n in (62, 63, 64):

@@ -240,16 +240,16 @@ def test_gap_values_and_identity():
 
 
 def test_formula_verification():
-    report = verify_clique_formula(8)
-    assert report.passed
-    names = {e.name for e in report.entries}
+    entries = verify_clique_formula(8)
+    assert all(e.passed for e in entries)
+    names = {e.name for e in entries}
     assert names == {
         f"n={n},k={k}" for n in range(9) for k in range((n - 3) // 2 + 1)
     }
     assert "n=7,k=2" in names
 
-    small = verify_clique_formula(3)
-    assert small.passed and {e.name for e in small.entries} == {"n=3,k=0"}
+    (small,) = verify_clique_formula(3)
+    assert small.passed and small.name == "n=3,k=0"
 
 
 def test_enumeration_agrees_with_brute_on_level_4():

@@ -1,5 +1,5 @@
-"""Hypothesis properties: popcount, the graph6 round trip, IntInterval
-arithmetic laws, and the invariants of compose_alpha2."""
+"""Hypothesis properties: the graph6 round trip, IntInterval arithmetic
+laws, and the invariants of compose_alpha2."""
 
 import pytest
 
@@ -17,24 +17,10 @@ from minclique import (
     serialize_graph6,
 )
 from minclique.constructions import ComposeInput, eq4_upper_bound
-from minclique.graphs import popcount
 from minclique.intervals import interval_max, interval_sum
 
 PROPERTY = settings(derandomize=True, deadline=None, database=None)
 CATALOG = WitnessCatalog()
-
-
-# -- popcount -------------------------------------------------------------------
-
-
-@PROPERTY
-@given(st.integers(0, 1 << 130))
-@example(0)
-@example((1 << 64) - 1)
-@example(1 << 64)
-@example((1 << 64) + 1)
-def test_popcount_counts_set_bits(x):
-    assert popcount(x) == bin(x).count("1")
 
 
 # -- graph6 ---------------------------------------------------------------------
@@ -140,7 +126,8 @@ def test_compose_alpha2_invariants(g1, g2):
     omega1, omega2 = clique_number(g1), clique_number(g2)
     if omega1 < omega2:
         g1, g2, omega1, omega2 = g2, g1, omega2, omega1
-    h = compose_alpha2(ComposeInput.build(g1, g2))
+    h, alpha = compose_alpha2(ComposeInput.build(g1, g2))
+    assert alpha <= 2
     assert not _has_independent_triple(h)
     assert clique_number(h) == omega1 + omega2
     assert h.n == g1.n + g2.n + omega2 <= eq4_upper_bound(omega1, omega2).hi
