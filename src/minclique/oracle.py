@@ -20,10 +20,26 @@ mask is v's neighborhood is isomorphic to G, and its new vertex has key(v),
 which is the maximum.  Every class therefore keeps at least one child, and
 the canonical-form dict still removes the duplicates among the survivors.
 
-Representatives are deterministic: each class is represented by its first
-surviving child in parent order, then mask order.  They are not the members
-the unfiltered enumeration kept, so `check theorem1 --dump-graph6` lists
-other graph6 lines for the same classes.
+Only the lighter half of each level is generated.  Complementation is a
+bijection on isomorphism classes that sends e edges to C(n + 1, 2) - e, so
+a child is kept only if it has at most floor(C(n + 1, 2) / 2) edges: a mask
+with more bits than that budget minus the parent's edge count is skipped
+next to the degree test.  After deduplication the complement of every kept
+representative with fewer than C(n + 1, 2) / 2 edges is appended, with no
+canonical form needed.  A class with exactly C(n + 1, 2) / 2 edges is
+generated directly and never complemented, so no class is counted twice.
+The canonical-deletion argument above still holds for the lighter half.
+Take G with at most half the edges and v with the maximal key: G - v is a
+graph on n vertices, and level n is complete because it already holds its
+own complements, so its representative P is there; the mask of v has
+deg(v) = e(G) - e(P) bits, within the budget.
+
+Representatives are deterministic.  A class with at most half the edges is
+represented by its first surviving child in parent order, then mask order;
+a class with more than half the edges is represented by the complement of
+its complement class's representative.  They are not the members the
+unfiltered enumeration kept, so `check theorem1 --dump-graph6` lists other
+graph6 lines for the same classes.
 
 The canonical form is the lexicographically minimal upper-triangle bit
 string (column order, the graph6 layout) over all vertex orderings that
@@ -169,6 +185,7 @@ def _ensure_level(n: int) -> None:
     while len(_levels) <= n:
         prev = _levels[-1]
         m = len(_levels) - 1
+        total = (m + 1) * m // 2  # edges of the complete graph on m + 1 vertices
         seen: dict[tuple[int, ...], tuple[int, ...]] = {}
         for rows in prev:
             # mask.bit_count() >= degs[v] + (mask >> v & 1) for every v holds
@@ -177,9 +194,10 @@ def _ensure_level(n: int) -> None:
             degs = [row.bit_count() for row in rows]
             top = max(degs, default=0)
             top_mask = sum(1 << v for v, d in enumerate(degs) if d == top)
+            budget = total // 2 - sum(degs) // 2  # mask bits left for the child
             for mask in range(1 << m):
                 d = mask.bit_count()
-                if d < top or (d == top and mask & top_mask):
+                if d < top or d > budget or (d == top and mask & top_mask):
                     continue
                 child = tuple(
                     row | ((mask >> v & 1) << m) for v, row in enumerate(rows)
@@ -190,7 +208,14 @@ def _ensure_level(n: int) -> None:
                 form = _canonical_columns(m + 1, child, keys)
                 if form not in seen:
                     seen[form] = child
-        _levels.append(list(seen.values()))
+        lighter = list(seen.values())
+        full = (1 << (m + 1)) - 1
+        # complements on the raw rows: graphs.complement would build and
+        # validate a Graph per class, ten times the cost at level 8
+        _levels.append(lighter + [
+            tuple(full ^ row ^ (1 << v) for v, row in enumerate(rows))
+            for rows in lighter if sum(row.bit_count() for row in rows) < total
+        ])
 
 
 def _level(n: int) -> list[tuple[int, ...]]:

@@ -10,12 +10,14 @@ Chromatic number: bounds first, search only between them.  The root
 coloring is proper, so its color count `upper` satisfies chi <= upper; a
 maximum clique needs distinct colors, so omega <= chi.  When upper equals
 omega the two bounds meet and chi = upper exactly, with no independence
-number and no search; the bounds meet on 12,656 of the 13,595 census graphs
-on 3..8 vertices.  Otherwise k runs upward from max(omega, ceil(n / alpha))
-to upper - 1, each k decided by backtracking with forward checking; the
-first colorable k is chi, and if none is, chi is upper.  The backtracking
-has two cuts, both symmetry breaks: a maximum clique is preassigned to
-distinct colors, and each step may open at most one brand-new color.
+number and no search; the bounds meet on 12,625 of the 13,595 census
+representatives on 3..8 vertices (the greedy order depends on the
+labelling, so the count moves with the choice of representatives).
+Otherwise k runs upward from max(omega, ceil(n / alpha)) to upper - 1, each
+k decided by backtracking with forward checking; the first colorable k is
+chi, and if none is, chi is upper.  The backtracking has two cuts, both
+symmetry breaks: a maximum clique is preassigned to distinct colors, and
+each step may open at most one brand-new color.
 Everything is exact; the test suite pins all three against brute-force
 enumeration on small graphs.
 
@@ -84,8 +86,11 @@ def _max_clique_within(g: Graph) -> tuple[int, tuple[int, ...], int]:
     radj = [0] * len(verts)
     for v in verts:
         row = 0
-        for u in bits(g.adj[v]):
-            row |= 1 << pos[u]
+        rest = g.adj[v]
+        while rest:  # inline low-bit loop: a `bits` generator costs more here
+            low = rest & -rest
+            row |= 1 << pos[low.bit_length() - 1]
+            rest ^= low
         radj[pos[v]] = row
 
     best_size = 0

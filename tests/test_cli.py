@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from minclique import oracle, parse_graph6, serialize_graph6, solvers
+from minclique import canonical_form, oracle, parse_graph6, serialize_graph6, solvers
 from minclique.cli import main
 from minclique.solvers import chromatic_number, clique_number, independence_number
 
@@ -113,6 +113,8 @@ def test_check_theorem1_small(tmp_path):
     assert len(lines) == 34
     parsed = [parse_graph6(l) for l in lines]
     assert all(g.n == 5 for g in parsed)
+    # one member of each of the 34 classes, whichever members they are
+    assert len({canonical_form(g) for g in parsed}) == 34
 
 
 def test_check_gap_small():

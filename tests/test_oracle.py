@@ -11,6 +11,7 @@ from minclique import (
     chromatic_number,
     circulant,
     clique_number,
+    complement,
     complete_graph,
     count_graphs,
     disjoint_union,
@@ -52,6 +53,28 @@ def test_capacity_error():
 def test_representatives_are_pairwise_nonisomorphic():
     forms = [canonical_form(g) for g in enumerate_graphs(7)]
     assert len(set(forms)) == len(forms) == 1044
+
+
+# OEIS A008406, row n = 8: the number of 8-vertex graphs with e edges,
+# e = 0..28, from the published table rather than from this enumerator
+EDGE_COUNTS_8 = (
+    1, 1, 2, 5, 11, 24, 56, 115, 221, 402, 663, 980, 1312, 1557, 1646,
+    1557, 1312, 980, 663, 402, 221, 115, 56, 24, 11, 5, 2, 1, 1,
+)
+
+
+def test_level_8_edge_counts_match_published_row():
+    assert len(EDGE_COUNTS_8) == 29 and sum(EDGE_COUNTS_8) == 12346
+    histogram = [0] * 29
+    for g in enumerate_graphs(8):
+        histogram[g.num_edges] += 1
+    assert tuple(histogram) == EDGE_COUNTS_8
+
+
+def test_levels_are_closed_under_complement():
+    for n in range(8):
+        forms = {canonical_form(g) for g in enumerate_graphs(n)}
+        assert {canonical_form(complement(g)) for g in enumerate_graphs(n)} == forms
 
 
 def test_every_labelled_graph_on_5_vertices_is_represented():
