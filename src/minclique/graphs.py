@@ -7,10 +7,19 @@ what makes the exact solvers fast at the sizes we care about (n <= 40).
 Also provides the construction primitives used throughout (complement,
 join, disjoint union, induced subgraph, circulants) and graph6
 serialization, the interchange format for small-graph corpora.
+
+The three passes that read a whole adjacency matrix by columns go through
+one primitive, `transpose`: the rows are packed 64 bits apart into a single
+int, and six masked block swaps on that int transpose the 64 x 64 bit
+matrix.  Symmetry validation (a matrix equals its transpose), relabelling
+and induced subgraphs (`permuted_rows`: P A P^T = P (P A)^T for symmetric
+A) and graph6 parsing (lower triangle | its transpose) cost a handful of
+big-int operations each instead of O(n^2) Python-level bit tests.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -21,7 +30,17 @@ MAX_VERTICES = 64
 
 @dataclass(frozen=True)
 class Graph:
-    """Undirected simple graph; adj[u] is the neighborhood of u as a bitmask."""
+    """Undirected simple graph; adj[u] is the neighborhood of u as a bitmask.
+
+    Construction rejects a row count other than n, a row with bits >= n
+    (negative rows included), a loop and an asymmetric pair, each error
+    naming its first offender.  The row checks are one O(n) loop.  Symmetry
+    is one comparison of the packed matrix M with its transpose: a few
+    big-int operations, not n(n - 1)/2 bit tests.  The lowest set bit of
+    D = M xor M^T names the first asymmetric pair (u, v) in row-major order
+    with u < v, because D is symmetric with an empty diagonal: had its
+    lowest nonzero row u a bit v < u, row v < u would be nonzero too.
+    """
 
     n: int
     adj: tuple[int, ...]
@@ -37,10 +56,11 @@ class Graph:
                 raise InvalidVertexError(f"row {u} has bits >= n set")
             if row >> u & 1:
                 raise InvalidEdgeError(f"loop at vertex {u}")
-        for u in range(self.n):
-            for v in range(u + 1, self.n):
-                if (self.adj[u] >> v & 1) != (self.adj[v] >> u & 1):
-                    raise InvalidEdgeError(f"asymmetric adjacency between {u} and {v}")
+        packed = _pack(self.adj)
+        asymmetric = packed ^ _transposed(packed, self.n)
+        if asymmetric:
+            u, v = divmod((asymmetric & -asymmetric).bit_length() - 1, 64)
+            raise InvalidEdgeError(f"asymmetric adjacency between {u} and {v}")
 
     def has_edge(self, u: int, v: int) -> bool:
         self._check_vertex(u)
@@ -82,6 +102,68 @@ def bits(mask: int) -> Iterable[int]:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+# -- 64 x 64 bit-matrix transpose ----------------------------------------------
+# A matrix of at most 64 rows packs into one int with row r at bits
+# 64r..64r+63, so entry (r, c) is bit 64r + c.  Transposing swaps bit s of r
+# with bit s of c for s = 0..5.  The six swaps commute; swap s exchanges each
+# entry whose r has bit s clear and whose c has bit s set with the entry
+# 63 * 2**s bits above it (a masked delta swap).  When every entry lies in
+# the top-left size x size corner, the swaps with 2**s >= size move only
+# zeros, so they are skipped.
+
+
+def _swap_steps() -> list[tuple[int, int]]:
+    """(shift, mask) of swaps s = 0..5, in closed form."""
+    word = (1 << 64) - 1
+    whole = (1 << 64 * 64) - 1
+    steps = []
+    for s in range(6):
+        j = 1 << s
+        columns = word // ((1 << 2 * j) - 1) * (((1 << j) - 1) << j)
+        rows = whole // ((1 << 128 * j) - 1) * (((1 << 64 * j) - 1) // word)
+        steps.append((63 * j, rows * columns))
+    return steps
+
+
+_SWAP_STEPS = _swap_steps()
+
+
+def _pack(rows: Sequence[int]) -> int:
+    return int.from_bytes(b"".join([row.to_bytes(8, "little") for row in rows]), "little")
+
+
+def _transposed(packed: int, size: int) -> int:
+    """Transpose of a packed matrix whose entries all lie in the top-left
+    size x size corner."""
+    for shift, mask in _SWAP_STEPS[:(size - 1).bit_length()]:
+        t = (packed ^ packed >> shift) & mask
+        packed ^= t ^ t << shift
+    return packed
+
+
+def _columns(rows: Sequence[int], size: int) -> list[int]:
+    """Columns 0..size-1 of the matrix with these rows, all of whose
+    entries lie in the top-left size x size corner."""
+    packed = _transposed(_pack(rows), size)
+    # the cast reads native words, so the bytes must be in native order
+    words = memoryview(packed.to_bytes(8 * size, sys.byteorder)).cast("Q").tolist()
+    return words if sys.byteorder == "little" else words[::-1]
+
+
+def transpose(rows: Sequence[int]) -> list[int]:
+    """Transpose of the n x n bit matrix with these n <= 64 rows, each in
+    0..2**n - 1: bit r of entry c is bit c of rows[r]."""
+    return _columns(rows, len(rows))
+
+
+def permuted_rows(adj: Sequence[int], order: Sequence[int]) -> list[int]:
+    """Rows of the subgraph induced on the distinct vertices `order`, with
+    order[i] relabelled i.  `adj` must be symmetric, as a Graph's rows are:
+    then column order[i] of the picked rows is row i of the result."""
+    columns = _columns([adj[v] for v in order], len(adj))
+    return [columns[v] for v in order]
 
 
 def from_edges(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
@@ -142,24 +224,16 @@ def induced_subgraph(g: Graph, keep: Iterable[int]) -> Graph:
     kept = sorted(set(keep))
     for v in kept:
         g._check_vertex(v)
-    index = {v: i for i, v in enumerate(kept)}
-    rows = [0] * len(kept)
-    for v in kept:
-        for u in bits(g.adj[v]):
-            if u in index:
-                rows[index[v]] |= 1 << index[u]
-    return Graph(len(kept), tuple(rows))
+    return Graph(len(kept), tuple(permuted_rows(g.adj, kept)))
 
 
 def relabel(g: Graph, perm: Sequence[int]) -> Graph:
     """Image of g under the permutation sending v to perm[v]."""
     if sorted(perm) != list(range(g.n)):
         raise InvalidVertexError("not a permutation of the vertex set")
-    rows = [0] * g.n
-    for v in range(g.n):
-        for u in bits(g.adj[v]):
-            rows[perm[v]] |= 1 << perm[u]
-    return Graph(g.n, tuple(rows))
+    # the new vertex i is the old vertex that perm sends to i
+    order = sorted(range(g.n), key=perm.__getitem__)
+    return Graph(g.n, tuple(permuted_rows(g.adj, order)))
 
 
 def circulant(n: int, connections: Iterable[int]) -> Graph:
@@ -228,11 +302,6 @@ def parse_graph6(text: str) -> Graph:
     stream = "".join(format(ord(ch) - 63, "06b") for ch in body)
     if "1" in stream[nbits:]:
         raise Graph6Error("nonzero padding bits")
-    rows = [0] * n
-    for c in range(1, n):
-        start = c * (c - 1) // 2
-        column = int(stream[start:start + c][::-1], 2)
-        rows[c] |= column
-        for r in bits(column):
-            rows[r] |= 1 << c
-    return Graph(n, tuple(rows))
+    # row c of the lower triangle is column c of the stream, bit r for r < c
+    lower = [int(stream[c * (c - 1) // 2:c * (c + 1) // 2][::-1] or "0", 2) for c in range(n)]
+    return Graph(n, tuple(row | column for row, column in zip(lower, transpose(lower))))

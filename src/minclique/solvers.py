@@ -4,7 +4,10 @@ Clique: branch and bound over bitset candidate sets, vertices preordered by
 descending degree (ties by lowest index), with a greedy-coloring upper bound
 for pruning.  The coloring at the root of the search is first-fit over the
 whole graph in that order, so one clique search yields omega, a maximum
-clique and chi's upper bound together.
+clique and chi's upper bound together.  The search runs on the graph
+relabelled into that order, P A P^T for the permutation matrix P; as A is
+symmetric, that is P (P A)^T, one bit-matrix transpose of the reordered
+rows (`graphs.permuted_rows`).
 
 Chromatic number: bounds first, search only between them.  The root
 coloring is proper, so its color count `upper` satisfies chi <= upper; a
@@ -29,7 +32,7 @@ independent).
 
 from __future__ import annotations
 
-from .graphs import Graph, bits, complement
+from .graphs import Graph, bits, complement, permuted_rows
 
 
 def max_clique(g: Graph) -> frozenset[int]:
@@ -82,16 +85,7 @@ def _max_clique_within(g: Graph) -> tuple[int, tuple[int, ...], int]:
     if not g.n:
         return 0, (), 0
     verts = sorted(range(g.n), key=lambda v: (-g.adj[v].bit_count(), v))
-    pos = {v: i for i, v in enumerate(verts)}
-    radj = [0] * len(verts)
-    for v in verts:
-        row = 0
-        rest = g.adj[v]
-        while rest:  # inline low-bit loop: a `bits` generator costs more here
-            low = rest & -rest
-            row |= 1 << pos[low.bit_length() - 1]
-            rest ^= low
-        radj[pos[v]] = row
+    radj = permuted_rows(g.adj, verts)
 
     best_size = 0
     best_mask = 0

@@ -20,6 +20,7 @@ from minclique import (
     relabel,
     serialize_graph6,
 )
+from minclique.graphs import permuted_rows, transpose
 from minclique.oracle import canonical_form
 
 from conftest import random_graph
@@ -130,12 +131,101 @@ def test_relabel(c5):
 
 
 def test_graph_invariant_validation():
-    with pytest.raises(InvalidEdgeError):
-        Graph(2, (2, 0))  # asymmetric
-    with pytest.raises(InvalidEdgeError):
-        Graph(1, (1,))  # loop
-    with pytest.raises(InvalidVertexError):
-        Graph(1, (2,))  # bit beyond n
+    def error(n, rows):
+        with pytest.raises((CapacityError, InvalidEdgeError, InvalidVertexError)) as info:
+            Graph(n, tuple(rows))
+        return info.type, str(info.value)
+
+    assert error(2, (2, 0)) == (InvalidEdgeError, "asymmetric adjacency between 0 and 1")
+    assert error(1, (1,)) == (InvalidEdgeError, "loop at vertex 0")
+    assert error(1, (2,)) == (InvalidVertexError, "row 0 has bits >= n set")
+    rows = [0] * 64
+    rows[0] = 1 << 63
+    assert error(64, rows) == (InvalidEdgeError, "asymmetric adjacency between 0 and 63")
+    rows = [0] * 64
+    rows[62] = 1 << 63
+    assert error(64, rows) == (InvalidEdgeError, "asymmetric adjacency between 62 and 63")
+    rows = [0] * 64
+    rows[63] = 1 << 62  # the one-sided bit below the diagonal still names u < v
+    assert error(64, rows) == (InvalidEdgeError, "asymmetric adjacency between 62 and 63")
+    rows = [0] * 64
+    rows[63] = 1 << 64
+    assert error(64, rows) == (InvalidVertexError, "row 63 has bits >= n set")
+    assert error(3, (0, 0)) == (InvalidVertexError, "adjacency row count does not match n")
+    assert error(65, (0,) * 65) == (CapacityError, "vertex count 65 outside 0..64")
+
+
+def _pairwise_check(n, rows):
+    """Graph's validation written out pair by pair: the same errors, the
+    same first offender."""
+    if not 0 <= n <= 64:
+        return CapacityError, f"vertex count {n} outside 0..64"
+    if len(rows) != n:
+        return InvalidVertexError, "adjacency row count does not match n"
+    for u, row in enumerate(rows):
+        if row < 0 or row >> n:
+            return InvalidVertexError, f"row {u} has bits >= n set"
+        if row >> u & 1:
+            return InvalidEdgeError, f"loop at vertex {u}"
+    for u in range(n):
+        for v in range(u + 1, n):
+            if (rows[u] >> v & 1) != (rows[v] >> u & 1):
+                return InvalidEdgeError, f"asymmetric adjacency between {u} and {v}"
+    return None
+
+
+def test_graph_validation_matches_pairwise_reference():
+    rng = random.Random(23)
+    kinds = ["valid", "asymmetric", "loop", "out of range", "negative", "wrong length"]
+    for _ in range(2000):
+        n = rng.choice([-1, 65, *range(65)])
+        size = min(max(n, 0), 64)
+        rows = list(random_graph(rng, size, rng.random()).adj)
+        kind = rng.choice(kinds)
+        if size and kind == "asymmetric":
+            for _ in range(rng.randrange(1, 4)):
+                rows[rng.randrange(size)] ^= 1 << rng.randrange(size)
+        elif size and kind == "loop":
+            v = rng.randrange(size)
+            rows[v] |= 1 << v
+        elif size and kind == "out of range":
+            rows[rng.randrange(size)] |= 1 << rng.randrange(size, 70)
+        elif size and kind == "negative":
+            rows[rng.randrange(size)] = -rng.randrange(1, 1 << size)
+        elif kind == "wrong length":
+            rows = rows[:-1] if rows and rng.random() < 0.5 else rows + [0]
+        expected = _pairwise_check(n, rows)
+        if expected is None:
+            assert Graph(n, tuple(rows)).adj == tuple(rows)
+        else:
+            with pytest.raises(expected[0]) as info:
+                Graph(n, tuple(rows))
+            assert (info.type, str(info.value)) == expected
+
+
+def test_transpose_matches_definition():
+    rng = random.Random(29)
+    for n in (0, 1, 2, 8, 9, 31, 63, 64):
+        full = (1 << n) - 1
+        matrices = [[0] * n, [full] * n]
+        matrices += [[rng.getrandbits(n) for _ in range(n)] for _ in range(20)]
+        matrices += [[rng.choice((0, full, rng.getrandbits(n))) for _ in range(n)]
+                     for _ in range(20)]
+        for rows in matrices:
+            columns = transpose(rows)
+            assert columns == [sum(1 << r for r, row in enumerate(rows) if row >> c & 1)
+                               for c in range(n)]
+            assert transpose(columns) == rows
+
+
+def test_permuted_rows_matches_definition():
+    rng = random.Random(31)
+    for n in (0, 1, 5, 33, 64):
+        g = random_graph(rng, n, rng.random())
+        order = rng.sample(range(n), rng.randrange(n + 1))
+        assert permuted_rows(g.adj, order) == [
+            sum(1 << j for j, u in enumerate(order) if g.has_edge(v, u)) for v in order
+        ]
 
 
 # -- graph6 -------------------------------------------------------------------

@@ -192,3 +192,20 @@ def test_chromatic_skips_alpha_when_bounds_meet(monkeypatch, c5):
     # chi(C5) = 3 > omega = 2: no coloring meets the clique bound
     with pytest.raises(_AlphaCalled):
         chromatic_number(c5)
+
+
+def test_clique_matches_networkx_past_eight_vertices():
+    # an independent oracle where the brute force cannot reach: the
+    # degree-order relabelling and the search on up to 64 vertices
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(37)
+    for n in [*rng.sample(range(9, 64), 30), 64, 64]:
+        g = random_graph(rng, n, rng.uniform(0.05, 0.5))
+        h = nx.Graph()
+        h.add_nodes_from(range(n))
+        h.add_edges_from(g.edges())
+        omega = max(len(c) for c in nx.find_cliques(h))
+        assert clique_number(g) == omega
+        members = sorted(max_clique(g))
+        assert len(members) == omega
+        assert all(g.has_edge(u, v) for i, u in enumerate(members) for v in members[i + 1:])
