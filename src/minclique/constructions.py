@@ -5,9 +5,11 @@ number <= 2 into a bigger one, gluing a fresh clique R onto equal-size
 cliques V1 and U2 picked in each factor: R u V1 and R u U2 become cliques,
 all cross edges between the factors are present except V1 x U2, and each
 r_i inherits v_i's neighbors on one side and u_i's on the other.  The
-output has clique number omega_1 + omega_2 and still no independent triple;
-both facts are re-verified by the exact solvers before the graph is
-returned.
+output has clique number omega_1 + omega_2 and still no independent triple.
+Its rows are bitmasks: g1 on 0..n1-1 with its cross edges (all of g2, less
+U2 on V1), g2 shifted to n1..n1+n2-1, and on n1+n2+i the row of r_i, R - r_i
+| N(v_i) | V1 | (N(u_i) | U2) << n1.  Each edge is set in at least one of
+its two rows, and one `transpose` adds the reverse edges (row | column).
 
 `build_extremal` realizes the minimum clique number achievable at chromatic
 number n - k: join the optimal witness blocks (one per part of the q(k)
@@ -15,20 +17,22 @@ certificate, block i on 2 k_i + 1 vertices) together with enough dominating
 vertices.  The join still has no independent triple, so a proper coloring
 uses classes of at most two vertices, and the classes of size two form a
 matching of the complement: chi = n - nu(complement) (Gallai), one maximum
-matching instead of a chromatic search.  Both chi = n - k and the clique
-number n - 2k + q(k) are checked before the graph is returned.
+matching instead of a chromatic search, checked to be n - k.
+
+Both builders certify alpha <= 2 and the clique number of their graph with
+`ramsey.verify_alpha2`, the exact check every catalog witness passes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import CapacityError, PreconditionError
-from .graphs import (MAX_VERTICES, Graph, bits, complement, complete_graph, from_edges,
-                     induced_subgraph, join)
+from .errors import CapacityError, InvalidVertexError, PreconditionError
+from .graphs import (MAX_VERTICES, Graph, bits, complement, complete_graph, induced_subgraph,
+                     join, transpose)
 from .intervals import IntInterval, interval_max
-from .qfunction import QCertificate, q
-from .ramsey import default_catalog, r3
+from .qfunction import QCertificate, q, q_bounded_s
+from .ramsey import default_catalog, r3, verify_alpha2
 from . import matching, solvers
 
 
@@ -82,9 +86,15 @@ class ComposeInput:
         return cls(g1, g2, clique1, clique2, omega1, omega2)
 
 
-def _is_clique(g: Graph, vertices) -> bool:
-    vs = list(vertices)
-    return all(g.has_edge(u, v) for i, u in enumerate(vs) for v in vs[i + 1:])
+def _is_clique(g: Graph, vertices: tuple[int, ...]) -> bool:
+    """Whether `vertices` are distinct and pairwise adjacent in g."""
+    mask = 0
+    for v in vertices:
+        if not 0 <= v < g.n:
+            raise InvalidVertexError(f"vertex {v} outside 0..{g.n - 1}")
+        mask |= 1 << v
+    return mask.bit_count() == len(vertices) and all(
+        mask & ~g.adj[v] == 1 << v for v in vertices)
 
 
 def _lex_first_clique(g: Graph, size: int) -> tuple[int, ...]:
@@ -106,52 +116,26 @@ def _lex_first_clique(g: Graph, size: int) -> tuple[int, ...]:
 
 
 def compose_alpha2(inp: ComposeInput) -> tuple[Graph, int]:
-    """The merge described in the module docstring, with the independence
-    number it verified: at most 2, and the clique number is verified to be
+    """The merge described in the module docstring, with its independence
+    number (at most 2); `verify_alpha2` also proves the clique number is
     omega(g1) + omega(g2)."""
-    g1, g2 = inp.g1, inp.g2
-    omega1, omega2 = inp.omega1, inp.omega2
+    g1, g2, omega2 = inp.g1, inp.g2, inp.omega2
     n1, n2 = g1.n, g2.n
-    total = n1 + n2 + omega2
+    off_r = n1 + n2
+    total = off_r + omega2
     if total > MAX_VERTICES:
         raise CapacityError(f"composition needs {total} vertices, limit {MAX_VERTICES}")
-    # layout: g1 on 0..n1-1, g2 on n1..n1+n2-1, R on the last omega2 labels
-    off2 = n1
-    off_r = n1 + n2
-    v1 = set(inp.clique1)
-    u2 = set(inp.clique2)
-    edges = list(g1.edges())
-    edges += [(off2 + a, off2 + b) for a, b in g2.edges()]
-    for a in range(n1):
-        for b in range(n2):
-            if a in v1 and b in u2:
-                continue
-            edges.append((a, off2 + b))
-    r_of = {i: off_r + i for i in range(omega2)}
-    for i in range(omega2):
-        for j in range(i + 1, omega2):
-            edges.append((r_of[i], r_of[j]))  # R is a clique
-        for a in v1:
-            edges.append((a, r_of[i]))  # R u V1 complete
-        for b in u2:
-            edges.append((off2 + b, r_of[i]))  # R u U2 complete
-    for i, (vi, ui) in enumerate(zip(sorted(v1), sorted(u2))):
-        for a in g1.neighbors(vi):
-            if a not in v1:
-                edges.append((a, r_of[i]))
-        for b in g2.neighbors(ui):
-            if b not in u2:
-                edges.append((off2 + b, r_of[i]))
-    result = from_edges(total, edges)
-
-    got_omega = solvers.clique_number(result)
-    got_alpha = solvers.independence_number(result)
-    if got_omega != omega1 + omega2 or got_alpha > 2:
-        raise RuntimeError(
-            "internal error: composition verified wrong "
-            f"(omega {got_omega} vs {omega1 + omega2}, alpha {got_alpha})"
-        )
-    return result, got_alpha
+    v1 = sum(1 << v for v in inp.clique1)
+    u2 = sum(1 << u for u in inp.clique2)
+    all2 = (1 << n2) - 1
+    r = ((1 << omega2) - 1) << off_r
+    rows = [row | (all2 & ~u2 if v1 >> v & 1 else all2) << n1 for v, row in enumerate(g1.adj)]
+    rows += [row << n1 for row in g2.adj]
+    rows += [r - (1 << off_r + i) | g1.adj[v] | v1 | (g2.adj[u] | u2) << n1
+             for i, (v, u) in enumerate(zip(inp.clique1, inp.clique2))]
+    result = Graph(total, tuple(row | column for row, column in zip(rows, transpose(rows))))
+    source = f"composition of {n1}- and {n2}-vertex graphs"
+    return result, verify_alpha2(result, inp.omega1 + omega2, source)
 
 
 @dataclass(frozen=True)
@@ -189,18 +173,9 @@ def build_extremal(n: int, k: int) -> ExtremalWitness:
     extra = n - sum(b.n for b in blocks)
     parts = blocks + ([complete_graph(extra)] if extra else [])
     graph = join(parts)
-
-    target_omega = n - 2 * k + value.lo
-    omega = solvers.clique_number(graph)
-    if omega != target_omega:
-        raise RuntimeError(
-            f"internal error: joined graph has clique number {omega}, expected {target_omega}"
-        )
-    gbar = complement(graph)
-    alpha = solvers.clique_number(gbar)  # independence number of graph
-    if alpha > 2:
-        raise RuntimeError(f"internal error: joined graph has independence number {alpha} > 2")
-    chi = n - matching.matching_number(gbar)
+    omega = n - 2 * k + value.lo
+    verify_alpha2(graph, omega, f"extremal graph for (n, k) = ({n}, {k})")
+    chi = n - matching.matching_number(complement(graph))
     if chi != n - k:
         raise RuntimeError(
             f"internal error: joined graph has chromatic number {chi}, expected {n - k}"
@@ -212,22 +187,23 @@ def chromatic_gap(n: int) -> IntInterval:
     """Largest possible excess of chromatic number over clique number on n
     vertices, by the formula.
 
-    Maximizes k - q(k) over every k whose optimal block partition fits in n
-    vertices (sum of block sizes 2 k_i + 1 is at most n).  Each such k is
-    realized by the join that `build_extremal` constructs, but it is built
-    and verified only where the catalog holds every block (k <= 8 with the
-    built-in witnesses); beyond that the value rests on the formula.  On
-    every n the exhaustive oracle reaches, the maximum provably matches
+    A partition of k into s parts fits in n vertices when its blocks, of
+    2 k_i + 1 vertices each, do: 2k + s <= n.  So the excess is the maximum
+    over 1 <= k <= (n - 1)/2 of k - q_bounded_s(k, n - 2k), the partition
+    minimum over the parts that fit (and 0, for the complete graph).  Both
+    endpoints come from partitions that fit.  Each k is realized by the
+    join that `build_extremal` constructs, but it is built and verified only
+    where the catalog holds every block (k <= 8 with the built-in
+    witnesses); beyond that the value rests on the formula.  On every n the
+    exhaustive oracle reaches, the maximum provably matches
     `oracle.brute_gap`; `check gap` confirms it, and the CLI's `gap`
     command chooses between the two.
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     candidates = [IntInterval.point(0)]  # k = 0: complete graph
-    for k in range(1, n // 2 + 1):
-        value, cert = q(k)
-        if 2 * k + cert.num_parts <= n:
-            candidates.append(k - value)
+    for k in range(1, (n - 1) // 2 + 1):
+        candidates.append(k - q_bounded_s(k, n - 2 * k)[0])
     return interval_max(*candidates)
 
 

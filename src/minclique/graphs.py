@@ -19,6 +19,7 @@ big-int operations each instead of O(n^2) Python-level bit tests.
 
 from __future__ import annotations
 
+import re
 import sys
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -253,6 +254,9 @@ def circulant(n: int, connections: Iterable[int]) -> Graph:
 # ---------------------------------------------------------------------------
 
 _G6_PREFIX = ">>graph6<<"
+_G6_BAD_BYTE = re.compile("[^?-~]")  # outside 63..126
+# a graph6 byte to its six stream bits, last bit first
+_G6_BITS = {63 + v: format(v, "06b")[::-1] for v in range(64)}
 
 
 def serialize_graph6(g: Graph) -> str:
@@ -276,9 +280,9 @@ def parse_graph6(text: str) -> Graph:
         s = s[len(_G6_PREFIX):]
     if not s:
         raise Graph6Error("empty graph6 string")
-    for ch in s:
-        if not 63 <= ord(ch) <= 126:
-            raise Graph6Error(f"byte {ord(ch)} outside graph6 range 63..126")
+    bad = _G6_BAD_BYTE.search(s)
+    if bad:
+        raise Graph6Error(f"byte {ord(bad.group())} outside graph6 range 63..126")
     if s[0] == "~":
         if len(s) >= 2 and s[1] == "~":
             raise Graph6Error("graphs beyond 258047 vertices are not supported")
@@ -299,9 +303,10 @@ def parse_graph6(text: str) -> Graph:
         raise Graph6Error(f"truncated bit stream: {len(body)} bytes, need {expected}")
     if len(body) > expected:
         raise Graph6Error(f"{len(body) - expected} trailing bytes after bit stream")
-    stream = "".join(format(ord(ch) - 63, "06b") for ch in body)
-    if "1" in stream[nbits:]:
+    # bit i of tri is bit i of the stream: the bytes and their bits reversed
+    tri = int(body[::-1].translate(_G6_BITS) or "0", 2)
+    if tri >> nbits:
         raise Graph6Error("nonzero padding bits")
     # row c of the lower triangle is column c of the stream, bit r for r < c
-    lower = [int(stream[c * (c - 1) // 2:c * (c + 1) // 2][::-1] or "0", 2) for c in range(n)]
+    lower = [tri >> c * (c - 1) // 2 & ((1 << c) - 1) for c in range(n)]
     return Graph(n, tuple(row | column for row, column in zip(lower, transpose(lower))))

@@ -46,10 +46,6 @@ class QCertificate:
         if interval_sum(self.part_values) != self.total:
             raise ValueError("certificate total must be the sum of its part values")
 
-    @property
-    def num_parts(self) -> int:
-        return len(self.parts)
-
 
 def _minimize(k: int, s_max: int) -> tuple[IntInterval, QCertificate]:
     """Bottom-up over the largest part p = 1..k: after round p, entry r of

@@ -67,6 +67,19 @@ def small_omega(x: int) -> IntInterval:
     return IntInterval(lo, hi)
 
 
+def verify_alpha2(graph: Graph, omega: int, source: str) -> int:
+    """Independence number of a built graph, once the exact solvers show it
+    is at most 2 and the clique number is `omega`; else a ValueError naming
+    `source`.  Every alpha <= 2 graph the package builds is certified here."""
+    alpha = solvers.independence_number(graph)
+    if alpha > 2:
+        raise ValueError(f"{source}: independence number {alpha} > 2")
+    got = solvers.clique_number(graph)
+    if got != omega:
+        raise ValueError(f"{source}: clique number {got}, expected {omega}")
+    return alpha
+
+
 # Triangle-free sides of the classic lower-bound graphs for R(3, 2..6), on
 # R(3, ell) - 1 vertices.  Each is complemented at load, so the stored graph
 # has independence number <= 2 and clique number small_omega(n) = ell - 1.
@@ -98,19 +111,8 @@ class WitnessCatalog:
         target = small_omega(graph.n)
         if not target.exact:
             raise ValueError(f"clique target for {graph.n} vertices is not exact")
-        self._verify(graph, target.lo, source)
+        verify_alpha2(graph, target.lo, source)
         self._bases[graph.n] = graph
-
-    @staticmethod
-    def _verify(graph: Graph, expected_clique: int, source: str) -> None:
-        alpha = solvers.independence_number(graph)
-        if alpha > 2:
-            raise ValueError(f"{source}: independence number {alpha} > 2")
-        omega = solvers.clique_number(graph)
-        if omega != expected_clique:
-            raise ValueError(
-                f"{source}: clique number {omega}, expected {expected_clique}"
-            )
 
     def base_sizes(self) -> tuple[int, ...]:
         return tuple(sorted(self._bases))
@@ -146,7 +148,7 @@ class WitnessCatalog:
                 f"no catalog construction reaches {x} vertices with clique {w}; "
                 f"stored bases: {self.base_sizes()}"
             )
-        self._verify(graph, w, f"derived witness on {x} vertices")
+        verify_alpha2(graph, w, f"derived witness on {x} vertices")
         self._witness_cache[x] = graph
         return graph
 

@@ -1,6 +1,7 @@
 import io
 import itertools
 import json
+import random
 
 import pytest
 
@@ -12,6 +13,7 @@ from minclique import (
     chromatic_gap,
     chromatic_number,
     clique_number,
+    complement,
     complete_graph,
     compose_alpha2,
     disjoint_union,
@@ -23,6 +25,8 @@ from minclique import (
 from minclique.cli import main
 from minclique.constructions import ComposeInput, _lex_first_clique, eq4_upper_bound
 from minclique.oracle import MAX_ENUM_VERTICES, brute_gap, enumerate_graphs
+
+from conftest import random_triangle_free
 
 
 def test_compose_c5_c5(c5):
@@ -73,6 +77,53 @@ def test_compose_restricts_to_factors(c5):
     for a in inp.clique1:
         for b in inp.clique2:
             assert not h.has_edge(a, 5 + b)
+
+
+def _compose_reference(g1, g2, clique1, clique2, x, y):
+    """Whether x and y are adjacent in the merge, by the module docstring's
+    rules: g1 on 0..n1-1, g2 next, then r_i paired with the i-th vertices
+    v_i of V1 and u_i of U2."""
+    n1, n2 = g1.n, g2.n
+    x, y = min(x, y), max(x, y)
+    if y < n1:
+        return g1.has_edge(x, y)
+    if x >= n1 + n2:
+        return True  # R is a clique
+    if x >= n1:
+        if y < n1 + n2:
+            return g2.has_edge(x - n1, y - n1)
+        u, b = clique2[y - n1 - n2], x - n1  # r_i and a vertex of g2
+        return b in clique2 or g2.has_edge(u, b)
+    if y < n1 + n2:
+        return not (x in clique1 and y - n1 in clique2)  # cross edges but V1 x U2
+    v = clique1[y - n1 - n2]  # r_i and a vertex of g1
+    return x in clique1 or g1.has_edge(v, x)
+
+
+def test_compose_matches_docstring_rules(catalog):
+    rng = random.Random(15)
+
+    def alpha2_graph():
+        if rng.random() < 0.3:
+            return catalog.witness_alpha2(rng.randint(1, 17))
+        return complement(random_triangle_free(rng, rng.randint(1, 12)))
+
+    def some_clique(g, size):
+        return rng.choice([c for c in itertools.combinations(range(g.n), size)
+                           if all(g.has_edge(u, v) for u, v in itertools.combinations(c, 2))])
+
+    for _ in range(40):
+        g1, g2 = sorted((alpha2_graph(), alpha2_graph()), key=clique_number, reverse=True)
+        omega2 = clique_number(g2)
+        explicit = (some_clique(g1, omega2), some_clique(g2, omega2))
+        for cliques in ((None, None), explicit):
+            inp = ComposeInput.build(g1, g2, *cliques)
+            h, alpha = compose_alpha2(inp)
+            assert alpha == independence_number(h) <= 2
+            assert h.n == g1.n + g2.n + omega2
+            for x, y in itertools.combinations(range(h.n), 2):
+                expected = _compose_reference(g1, g2, inp.clique1, inp.clique2, x, y)
+                assert h.has_edge(x, y) == expected, (inp, x, y)
 
 
 def test_lex_first_clique_is_first_combination():
@@ -159,6 +210,10 @@ def test_gap_formula():
     assert chromatic_gap(13) == IntInterval.point(3)
     for n in range(3, 9):
         assert chromatic_gap(n) == IntInterval.point(brute_gap(n))
+    # at n = 49, k = 24 fits only as the single part (24,), of cost [9, 13];
+    # q(24)'s upper end comes from a partition with more parts than fit
+    assert chromatic_gap(48) == IntInterval(13, 14)
+    assert chromatic_gap(49) == IntInterval(13, 15)
 
 
 def test_gap_auto_mode():
@@ -177,7 +232,7 @@ def test_gap_auto_mode():
 
 def test_gap_formula_is_monotone():
     prev = IntInterval.point(0)
-    for n in range(1, 40):
+    for n in range(1, 130):
         cur = chromatic_gap(n)
         assert cur.lo >= prev.lo and cur.hi >= prev.hi
         prev = cur

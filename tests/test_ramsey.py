@@ -13,6 +13,7 @@ from minclique import (
     r3,
     small_omega,
 )
+from minclique.ramsey import verify_alpha2
 
 
 def test_r3_exact_values():
@@ -135,3 +136,12 @@ def test_external_witness_rejection(c5):
             loaded._admit(graph, "candidate")
     assert loaded.base_sizes() == WitnessCatalog().base_sizes()
     assert loaded.witness_alpha2(5) == c5  # the built-in base was not replaced
+
+
+def test_verify_alpha2(c5):
+    assert verify_alpha2(c5, 2, "C5") == 2
+    assert verify_alpha2(complete_graph(4), 4, "K4") == 1
+    with pytest.raises(ValueError, match="^C5: clique number 2, expected 3$"):
+        verify_alpha2(c5, 3, "C5")
+    with pytest.raises(ValueError, match="^C6: independence number 3 > 2$"):
+        verify_alpha2(circulant(6, {1}), 2, "C6")
