@@ -28,8 +28,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import CapacityError, InvalidVertexError, PreconditionError
-from .graphs import (MAX_VERTICES, Graph, bits, complement, complete_graph, induced_subgraph,
-                     join, transpose)
+from .graphs import (MAX_VERTICES, Graph, bits, complete_graph, induced_subgraph, join,
+                     transpose)
 from .intervals import IntInterval, interval_max
 from .qfunction import QCertificate, q, q_bounded_s
 from .ramsey import default_catalog, r3, verify_alpha2
@@ -135,7 +135,7 @@ def compose_alpha2(inp: ComposeInput) -> tuple[Graph, int]:
              for i, (v, u) in enumerate(zip(inp.clique1, inp.clique2))]
     result = Graph(total, tuple(row | column for row, column in zip(rows, transpose(rows))))
     source = f"composition of {n1}- and {n2}-vertex graphs"
-    return result, verify_alpha2(result, inp.omega1 + omega2, source)
+    return result, verify_alpha2(result, inp.omega1 + omega2, source)[0]
 
 
 @dataclass(frozen=True)
@@ -174,8 +174,8 @@ def build_extremal(n: int, k: int) -> ExtremalWitness:
     parts = blocks + ([complete_graph(extra)] if extra else [])
     graph = join(parts)
     omega = n - 2 * k + value.lo
-    verify_alpha2(graph, omega, f"extremal graph for (n, k) = ({n}, {k})")
-    chi = n - matching.matching_number(complement(graph))
+    _, co = verify_alpha2(graph, omega, f"extremal graph for (n, k) = ({n}, {k})")
+    chi = n - matching.matching_number(co)
     if chi != n - k:
         raise RuntimeError(
             f"internal error: joined graph has chromatic number {chi}, expected {n - k}"

@@ -67,17 +67,19 @@ def small_omega(x: int) -> IntInterval:
     return IntInterval(lo, hi)
 
 
-def verify_alpha2(graph: Graph, omega: int, source: str) -> int:
-    """Independence number of a built graph, once the exact solvers show it
-    is at most 2 and the clique number is `omega`; else a ValueError naming
+def verify_alpha2(graph: Graph, omega: int, source: str) -> tuple[int, Graph]:
+    """Independence number and complement of a built graph, once the exact
+    solvers show that alpha (the clique number of the complement) is at
+    most 2 and the clique number is `omega`; else a ValueError naming
     `source`.  Every alpha <= 2 graph the package builds is certified here."""
-    alpha = solvers.independence_number(graph)
+    co = complement(graph)
+    alpha = solvers.clique_number(co)
     if alpha > 2:
         raise ValueError(f"{source}: independence number {alpha} > 2")
     got = solvers.clique_number(graph)
     if got != omega:
         raise ValueError(f"{source}: clique number {got}, expected {omega}")
-    return alpha
+    return alpha, co
 
 
 # Triangle-free sides of the classic lower-bound graphs for R(3, 2..6), on

@@ -63,6 +63,28 @@ def chromatic_number(g: Graph) -> int:
     return k
 
 
+def chromatic_number_by_inclusion_exclusion(g: Graph) -> int:
+    """Least k with sum over S of (-1)^(n - |S|) i(S)^k > 0, where i(S)
+    counts the independent sets inside S, the empty one included
+    (Bjorklund, Husfeldt and Koivisto).  The sum counts the k-tuples of
+    independent sets that cover every vertex, so it is positive iff k
+    colors suffice.  Time and memory 2^n: usable to about 20 vertices."""
+    count = [1]  # count[S] = i(S) for S within the vertices seen so far
+    even = [True]  # whether |S| has the parity of the vertices seen so far
+    for v in range(g.n):
+        earlier = g.adj[v] & ((1 << v) - 1)
+        count += [count[s] + count[s & ~earlier] for s in range(1 << v)]
+        even = [not e for e in even] + even
+    plus = [c for c, e in zip(count, even) if e]
+    minus = [c for c, e in zip(count, even) if not e]
+    k, plus_k, minus_k = 0, [1] * len(plus), [1] * len(minus)
+    while sum(plus_k) <= sum(minus_k):
+        k += 1
+        plus_k = [p * c for p, c in zip(plus_k, plus)]
+        minus_k = [m * c for m, c in zip(minus_k, minus)]
+    return k
+
+
 def matching_number(g: Graph) -> int:
     edges = g.edges()
 

@@ -169,6 +169,43 @@ def test_chromatic_where_greedy_is_loose():
         assert chromatic_number(wheel) == brute.chromatic_number(wheel) == 4
 
 
+def _mycielskian(g):
+    # shadow n + v of each v, joined to v's neighbors, and an apex 2n on the shadows
+    n = g.n
+    edges = g.edges() + [(n + a, b) for u, v in g.edges() for a, b in ((u, v), (v, u))]
+    return from_edges(2 * n + 1, edges + [(n + v, 2 * n) for v in range(n)])
+
+
+def test_inclusion_exclusion_oracle_matches_recursion():
+    for n in range(7):
+        for g in enumerate_graphs(n):
+            assert brute.chromatic_number_by_inclusion_exclusion(g) == brute.chromatic_number(g), g
+
+
+def test_chromatic_search_matches_inclusion_exclusion_past_eight_vertices():
+    # only graphs whose root coloring exceeds omega, the ones that reach the
+    # k-colorability search; both its outcomes (a k below the greedy bound,
+    # and every such k refuted) occur
+    rng = random.Random(16)
+    checked = 0
+    for n in (12, 14, 16):
+        for p in (0.3, 0.5, 0.7):
+            kept = 0
+            while kept < 4:
+                g = random_graph(rng, n, p)
+                omega, _, upper, _, _ = solvers._max_clique_within(g)
+                if upper > omega:
+                    kept += 1
+                    assert chromatic_number(g) == brute.chromatic_number_by_inclusion_exclusion(g), g
+            checked += kept
+    assert checked == 36
+    # Mycielski's construction keeps omega = 2 and raises chi by one
+    m5 = _mycielskian(_grotzsch())
+    assert m5.n == 23
+    assert clique_number(m5) == 2
+    assert chromatic_number(m5) == 5
+
+
 class _AlphaCalled(Exception):
     pass
 
