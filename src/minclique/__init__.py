@@ -2,7 +2,7 @@
 number, via the known Ramsey bounds R(3, ell), with certified extremal
 constructions and brute-force oracles.
 
-Everything is exact: the solvers enumerate, the catalog re-verifies every
+Everything is exact: the solvers enumerate, the catalog certifies every
 witness it hands out, intervals carry the uncertainty of open Ramsey
 values, and the oracle pins it all down on up to eight vertices.
 """

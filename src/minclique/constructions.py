@@ -14,13 +14,19 @@ its two rows, and one `transpose` adds the reverse edges (row | column).
 `build_extremal` realizes the minimum clique number achievable at chromatic
 number n - k: join the optimal witness blocks (one per part of the q(k)
 certificate, block i on 2 k_i + 1 vertices) together with enough dominating
-vertices.  The join still has no independent triple, so a proper coloring
-uses classes of at most two vertices, and the classes of size two form a
-matching of the complement: chi = n - nu(complement) (Gallai), one maximum
-matching instead of a chromatic search, checked to be n - k.
+vertices.  In a join a clique meets each part in a clique and an independent
+set lies inside one part, so the clique number is the sum of the parts' and
+the independence number the largest part's.  `ramsey.verify_join` checks the
+graph row by row against its parts and certifies both facts from those the
+catalog proved for its blocks, with no search on the joined graph.  The join
+has no independent triple, so a proper coloring uses classes of at most two
+vertices, and the classes of size two form a matching of the complement:
+chi = n - nu(complement) (Gallai), one maximum matching instead of a
+chromatic search, checked to be n - k.
 
-Both builders certify alpha <= 2 and the clique number of their graph with
-`ramsey.verify_alpha2`, the exact check every catalog witness passes.
+`compose_alpha2`'s output is no join, so it certifies alpha <= 2 and its
+clique number by search, with `ramsey.verify_alpha2`, the exact check every
+built-in catalog base passes.
 """
 
 from __future__ import annotations
@@ -28,11 +34,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import CapacityError, InvalidVertexError, PreconditionError
-from .graphs import (MAX_VERTICES, Graph, bits, complete_graph, induced_subgraph, join,
-                     transpose)
+from .graphs import (MAX_VERTICES, Graph, bits, complement, complete_graph,
+                     induced_subgraph, join, transpose)
 from .intervals import IntInterval, interval_max
 from .qfunction import QCertificate, q, q_bounded_s
-from .ramsey import default_catalog, r3, verify_alpha2
+from .ramsey import default_catalog, r3, small_omega, verify_alpha2, verify_join
 from . import matching, solvers
 
 
@@ -169,13 +175,16 @@ def build_extremal(n: int, k: int) -> ExtremalWitness:
             f"q({k}) is only known to lie in {value}; cannot certify an extremal graph"
         )
     catalog = default_catalog()
-    blocks = [catalog.witness_alpha2(2 * part + 1) for part in cert.parts]
-    extra = n - sum(b.n for b in blocks)
-    parts = blocks + ([complete_graph(extra)] if extra else [])
-    graph = join(parts)
+    # each catalog witness on x vertices has alpha <= 2 and clique number small_omega(x)
+    parts = [(catalog.witness_alpha2(2 * part + 1), small_omega(2 * part + 1).lo)
+             for part in cert.parts]
+    extra = n - sum(block.n for block, _ in parts)
+    if extra:
+        parts.append((complete_graph(extra), extra))
+    graph = join([part for part, _ in parts])
     omega = n - 2 * k + value.lo
-    _, co = verify_alpha2(graph, omega, f"extremal graph for (n, k) = ({n}, {k})")
-    chi = n - matching.matching_number(co)
+    verify_join(graph, parts, omega, f"extremal graph for (n, k) = ({n}, {k})")
+    chi = n - matching.matching_number(complement(graph))
     if chi != n - k:
         raise RuntimeError(
             f"internal error: joined graph has chromatic number {chi}, expected {n - k}"

@@ -43,18 +43,31 @@ class Matching:
 
 
 def max_matching(g: Graph) -> Matching:
-    return _pairs(_maximum_mates([tuple(bits(row)) for row in g.adj]))
+    return _pairs(_maximum_mates(_neighbor_lists(g)))
 
 
 def matching_number(g: Graph) -> int:
     return max_matching(g).size
 
 
+def _neighbor_lists(g: Graph) -> list[list[int]]:
+    """Neighbors of each vertex, ascending, by an inline low-bit loop."""
+    lists = []
+    for row in g.adj:
+        nbrs = []
+        while row:
+            low = row & -row
+            nbrs.append(low.bit_length() - 1)
+            row ^= low
+        lists.append(nbrs)
+    return lists
+
+
 def _pairs(mate: list[int]) -> Matching:
     return Matching(frozenset((v, u) for v, u in enumerate(mate) if 0 <= v < u))
 
 
-def _maximum_mates(neighbors: list[tuple[int, ...]]) -> list[int]:
+def _maximum_mates(neighbors: list[list[int]]) -> list[int]:
     n = len(neighbors)
     mate = [-1] * n
     for v in range(n):  # greedy seed
@@ -70,7 +83,7 @@ def _maximum_mates(neighbors: list[tuple[int, ...]]) -> list[int]:
     return mate
 
 
-def _search(neighbors: list[tuple[int, ...]], mate: list[int], root: int) -> list[bool] | None:
+def _search(neighbors: list[list[int]], mate: list[int], root: int) -> list[bool] | None:
     """Grow an alternating tree from the exposed vertex `root`: flip the first
     augmenting path into `mate` and return None, or return the outer marks,
     True exactly where an even alternating path from `root` reaches."""
@@ -153,7 +166,7 @@ class EGDecomposition:
 
 
 def edmonds_gallai(g: Graph) -> EGDecomposition:
-    neighbors = [tuple(bits(row)) for row in g.adj]
+    neighbors = _neighbor_lists(g)
     mate = _maximum_mates(neighbors)
     # the matching is maximum, so every search fails and only marks
     d = frozenset(

@@ -13,14 +13,17 @@ wherever x falls between two exactly known Ramsey values.
 The catalog stores the complements of the triangle-free graphs that meet
 the lower bounds for R(3, 2..6) (on 2, 5, 8, 13 and 17 vertices) and
 derives witnesses for the in-between sizes.  Nothing is trusted: each
-built-in base is admitted only if small_omega(n) is exact (n <= 39), its
-independence number is at most 2 and its clique number equals
-small_omega(n).  Every derived graph is re-verified before it is handed out.
+built-in base is admitted only if small_omega(n) is exact (n <= 39), and the
+exact solvers show that its independence number is at most 2 and its clique
+number equals small_omega(n).  Every derived graph is certified before it is
+handed out: an induced subgraph by the same search, a base joined with
+dominating vertices by `verify_join`, from the base's admitted facts.
 """
 
 from __future__ import annotations
 
 from functools import cache, lru_cache
+from typing import Sequence
 
 from .errors import UnsupportedWitnessError
 from .graphs import (
@@ -71,7 +74,9 @@ def verify_alpha2(graph: Graph, omega: int, source: str) -> tuple[int, Graph]:
     """Independence number and complement of a built graph, once the exact
     solvers show that alpha (the clique number of the complement) is at
     most 2 and the clique number is `omega`; else a ValueError naming
-    `source`.  Every alpha <= 2 graph the package builds is certified here."""
+    `source`.  Every alpha <= 2 graph the package builds and certifies by
+    search passes here: the built-in bases, induced subgraphs of them and
+    compositions.  Joins go through `verify_join` instead."""
     co = complement(graph)
     alpha = solvers.clique_number(co)
     if alpha > 2:
@@ -80,6 +85,38 @@ def verify_alpha2(graph: Graph, omega: int, source: str) -> tuple[int, Graph]:
     if got != omega:
         raise ValueError(f"{source}: clique number {got}, expected {omega}")
     return alpha, co
+
+
+def verify_join(graph: Graph, parts: Sequence[tuple[Graph, int]], omega: int,
+                source: str) -> None:
+    """Certify, with no search, that a graph has independence number at
+    most 2 and clique number `omega`, given that it is the join of `parts`.
+
+    Each part comes with its clique number, and each must be certified to
+    have independence number at most 2: a catalog witness or a complete
+    graph.  The check is that row v of `graph` is the row of v in its part,
+    shifted to the part's label range, together with every vertex outside
+    that range; a ValueError names `source` and the first row that differs.
+    Then a clique meets each part in a clique, so omega(graph) is the sum
+    of the parts' clique numbers, which must equal `omega`.  And two
+    vertices of different parts are adjacent, so an independent set lies in
+    one part: alpha(graph) is the largest alpha of a part, at most 2.
+    """
+    full = (1 << graph.n) - 1
+    expected: list[int] = []
+    for part, _ in parts:
+        offset = len(expected)
+        outside = full & ~(((1 << part.n) - 1) << offset)
+        expected.extend(row << offset | outside for row in part.adj)
+    for v, (row, want) in enumerate(zip(graph.adj, expected)):
+        if row != want:
+            raise ValueError(f"{source}: row {v} is not the join of its parts")
+    if len(expected) != graph.n:
+        raise ValueError(
+            f"{source}: the parts have {len(expected)} vertices, the graph {graph.n}")
+    got = sum(part_omega for _, part_omega in parts)
+    if got != omega:
+        raise ValueError(f"{source}: clique number {got}, expected {omega}")
 
 
 # Triangle-free sides of the classic lower-bound graphs for R(3, 2..6), on
@@ -129,8 +166,10 @@ class WitnessCatalog:
         enlarge an independent set), or, where no base lines up, as an
         induced subgraph of the next stored witness (which cannot lower
         the clique number below small_omega(x)).  Either way the result is
-        re-verified before it is returned.  Sizes are bounded only by
-        small_omega(x) being exact (x <= 39) and by the stored bases.
+        certified before it is returned: the join by `verify_join` from the
+        base's admitted clique number, the induced subgraph by
+        `verify_alpha2`.  Sizes are bounded only by small_omega(x) being
+        exact (x <= 39) and by the stored bases.
         """
         if x < 1:
             raise UnsupportedWitnessError(f"need x >= 1, got {x}")
@@ -144,17 +183,18 @@ class WitnessCatalog:
                 f"clique target for x = {x} is only known to lie in {target}"
             )
         w = target.lo
-        graph = self._construct(x, w)
+        graph = self._construct(x, w, f"derived witness on {x} vertices")
         if graph is None:
             raise UnsupportedWitnessError(
                 f"no catalog construction reaches {x} vertices with clique {w}; "
                 f"stored bases: {self.base_sizes()}"
             )
-        verify_alpha2(graph, w, f"derived witness on {x} vertices")
         self._witness_cache[x] = graph
         return graph
 
-    def _construct(self, x: int, w: int) -> Graph | None:
+    def _construct(self, x: int, w: int, source: str) -> Graph | None:
+        """A certified x-vertex graph with alpha <= 2 and clique number w
+        derived from a base, or None if no base lines up."""
         # dominating augmentation: base on fewer vertices, smaller clique;
         # admission proved each base's clique number equals small_omega(size)
         candidates = [
@@ -163,12 +203,18 @@ class WitnessCatalog:
         ]
         if candidates:
             base = self._bases[max(candidates)]
-            return join([base, complete_graph(x - base.n)])
+            dominating = complete_graph(x - base.n)
+            graph = join([base, dominating])
+            verify_join(graph, [(base, small_omega(base.n).lo), (dominating, dominating.n)],
+                        w, source)
+            return graph
         # induced subgraph of a bigger witness with the same clique number
         candidates = [size for size in self._bases if size > x and small_omega(size).lo == w]
         if candidates:
             base = self._bases[min(candidates)]
-            return induced_subgraph(base, range(x))
+            graph = induced_subgraph(base, range(x))
+            verify_alpha2(graph, w, source)
+            return graph
         return None
 
 

@@ -22,9 +22,11 @@ from minclique import (
     q_value,
     serialize_graph6,
 )
+from minclique import solvers
 from minclique.cli import main
 from minclique.constructions import ComposeInput, _lex_first_clique, eq4_upper_bound
 from minclique.oracle import MAX_ENUM_VERTICES, brute_gap, enumerate_graphs
+from minclique.ramsey import default_catalog
 
 from conftest import random_triangle_free
 
@@ -173,6 +175,39 @@ def test_build_extremal_verified_by_solvers():
         assert chromatic_number(w.graph) == n - k == w.chi
         assert clique_number(w.graph) == n - 2 * k + q_value(k).lo == w.omega
         assert w.graph.n == n
+
+
+def test_build_extremal_every_pair_by_search():
+    # build_extremal certifies omega and alpha from the joined blocks' facts;
+    # the exact solvers re-solve both on every buildable pair
+    for k in range(9):
+        for n in range(2 * k + 3, 65):
+            w = build_extremal(n, k)
+            assert clique_number(w.graph) == w.omega, (n, k)
+            assert independence_number(w.graph) <= 2, (n, k)
+
+
+def test_build_extremal_matches_networkx():
+    nx = pytest.importorskip("networkx")
+    for n, k in [(7, 2), (11, 4), (14, 5), (19, 8), (24, 6)]:
+        w = build_extremal(n, k)
+        h = nx.Graph()
+        h.add_nodes_from(range(n))
+        h.add_edges_from(w.graph.edges())
+        assert max(len(c) for c in nx.find_cliques(h)) == w.omega, (n, k)
+        assert max(len(c) for c in nx.find_cliques(nx.complement(h))) <= 2, (n, k)
+
+
+def test_build_extremal_runs_no_clique_search(monkeypatch):
+    for x in range(1, 18, 2):  # every block size, derived witnesses cached
+        default_catalog().witness_alpha2(x)
+
+    def no_search(g):
+        raise AssertionError("build_extremal ran a clique search")
+
+    monkeypatch.setattr(solvers, "clique_number", no_search)
+    for k in range(9):
+        assert build_extremal(64, k).omega == 64 - 2 * k + q_value(k).lo
 
 
 def test_build_extremal_join_identity(catalog):

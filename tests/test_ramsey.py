@@ -13,7 +13,8 @@ from minclique import (
     r3,
     small_omega,
 )
-from minclique.ramsey import verify_alpha2
+from minclique.graphs import Graph, join
+from minclique.ramsey import verify_alpha2, verify_join
 
 
 def test_r3_exact_values():
@@ -145,3 +146,23 @@ def test_verify_alpha2(c5):
         verify_alpha2(c5, 3, "C5")
     with pytest.raises(ValueError, match="^C6: independence number 3 > 2$"):
         verify_alpha2(circulant(6, {1}), 2, "C6")
+
+
+def test_verify_join(c5):
+    parts = [(c5, 2), (complete_graph(3), 3), (c5, 2)]
+    graph = join([part for part, _ in parts])
+    assert verify_join(graph, parts, 7, "J") is None
+    with pytest.raises(ValueError, match="^J: clique number 7, expected 6$"):
+        verify_join(graph, parts, 6, "J")  # the parts' clique numbers miss the target
+    # one cross edge, 1 -- 6, removed from both rows
+    rows = list(graph.adj)
+    rows[1] &= ~(1 << 6)
+    rows[6] &= ~(1 << 1)
+    with pytest.raises(ValueError, match="^J: row 1 is not the join of its parts$"):
+        verify_join(Graph(13, tuple(rows)), parts, 7, "J")
+    # a part that is not the graph's: C5 with its edge 3 -- 4 removed, a path
+    p5 = Graph(5, (c5.adj[0], c5.adj[1], c5.adj[2], c5.adj[3] & ~(1 << 4), c5.adj[4] & ~(1 << 3)))
+    with pytest.raises(ValueError, match="^J: row 11 is not the join of its parts$"):
+        verify_join(graph, parts[:2] + [(p5, 2)], 7, "J")
+    with pytest.raises(ValueError, match="^J: the parts have 8 vertices, the graph 13$"):
+        verify_join(graph, parts[:2], 7, "J")
