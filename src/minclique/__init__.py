@@ -11,7 +11,6 @@ from .constructions import (
     ComposeInput,
     ExtremalWitness,
     build_extremal,
-    chromatic_gap,
     compose_alpha2,
 )
 from .errors import (
@@ -46,7 +45,7 @@ from .matching import (
     verify_complement_partition,
 )
 from .oracle import brute_Q, brute_gap, canonical_form, count_graphs, enumerate_graphs
-from .qfunction import QCertificate, q, q_bounded_s, q_value
+from .qfunction import QCertificate, chromatic_gap, q, q_bounded_s, q_value
 from .ramsey import WitnessCatalog, default_catalog, r3, small_omega
 from .solvers import (
     chromatic_number,

@@ -166,7 +166,7 @@ def _cmd_gap(args) -> _Report:
     if args.n <= oracle.MAX_ENUM_VERTICES:
         mode, value = "oracle", IntInterval.point(oracle.brute_gap(args.n))
     else:
-        mode, value = "formula", constructions.chromatic_gap(args.n)
+        mode, value = "formula", qfunction.chromatic_gap(args.n)
     return "gap", {"n": args.n}, {"gap": _interval_json(value), "mode": mode}, []
 
 
@@ -268,7 +268,7 @@ def _check_gap(args) -> _Report:
             f"identity-n={n}", PASS if brute == by_q else FAIL,
             f"max chi - omega is {brute}; max over c of c - Q(n, c) is {by_q}",
         ))
-        formula = constructions.chromatic_gap(n)
+        formula = qfunction.chromatic_gap(n)
         ok = formula.exact and formula.lo == brute
         checks.append(CheckResult(
             f"formula-n={n}", PASS if ok else FAIL,

@@ -36,8 +36,8 @@ from dataclasses import dataclass
 from .errors import CapacityError, InvalidVertexError, PreconditionError
 from .graphs import (MAX_VERTICES, Graph, bits, complement, complete_graph,
                      induced_subgraph, join, transpose)
-from .intervals import IntInterval, interval_max
-from .qfunction import QCertificate, q, q_bounded_s
+from .intervals import IntInterval
+from .qfunction import QCertificate, q
 from .ramsey import default_catalog, r3, small_omega, verify_alpha2, verify_join
 from . import matching, solvers
 
@@ -141,7 +141,7 @@ def compose_alpha2(inp: ComposeInput) -> tuple[Graph, int]:
              for i, (v, u) in enumerate(zip(inp.clique1, inp.clique2))]
     result = Graph(total, tuple(row | column for row, column in zip(rows, transpose(rows))))
     source = f"composition of {n1}- and {n2}-vertex graphs"
-    return result, verify_alpha2(result, inp.omega1 + omega2, source)[0]
+    return result, verify_alpha2(result, inp.omega1 + omega2, source)
 
 
 @dataclass(frozen=True)
@@ -190,30 +190,6 @@ def build_extremal(n: int, k: int) -> ExtremalWitness:
             f"internal error: joined graph has chromatic number {chi}, expected {n - k}"
         )
     return ExtremalWitness(n, k, graph, omega, chi, cert)
-
-
-def chromatic_gap(n: int) -> IntInterval:
-    """Largest possible excess of chromatic number over clique number on n
-    vertices, by the formula.
-
-    A partition of k into s parts fits in n vertices when its blocks, of
-    2 k_i + 1 vertices each, do: 2k + s <= n.  So the excess is the maximum
-    over 1 <= k <= (n - 1)/2 of k - q_bounded_s(k, n - 2k), the partition
-    minimum over the parts that fit (and 0, for the complete graph).  Both
-    endpoints come from partitions that fit.  Each k is realized by the
-    join that `build_extremal` constructs, but it is built and verified only
-    where the catalog holds every block (k <= 8 with the built-in
-    witnesses); beyond that the value rests on the formula.  On every n the
-    exhaustive oracle reaches, the maximum provably matches
-    `oracle.brute_gap`; `check gap` confirms it, and the CLI's `gap`
-    command chooses between the two.
-    """
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
-    candidates = [IntInterval.point(0)]  # k = 0: complete graph
-    for k in range(1, (n - 1) // 2 + 1):
-        candidates.append(k - q_bounded_s(k, n - 2 * k)[0])
-    return interval_max(*candidates)
 
 
 def eq4_upper_bound(omega1: int, omega2: int) -> IntInterval:

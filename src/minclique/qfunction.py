@@ -1,4 +1,4 @@
-"""The clique-correction function q and its bounded-parts variant.
+"""The clique-correction function q, its bounded-parts variant and the gap.
 
 q(k) is the minimum, over all ways of writing k as an ordered-irrelevant
 sum of positive parts k_1 + ... + k_s, of the total block cost
@@ -6,21 +6,22 @@ sum_i (small_omega(2 k_i + 1) - 1).  Costs are intervals wherever the
 underlying Ramsey values are only bracketed, and the minimum folds
 endpointwise, so q(k) is itself an interval (degenerate when exact).
 
-Computed by one bottom-up dynamic program over the largest part allowed
-(an unbounded knapsack over parts; the bounded variant adds one row per
-allowed part), so each partition is counted once, in descending order.
-Certificates achieve the interval's lower endpoint under optimistic costs
-and break ties by fewest parts, then lexicographically largest part
-vector.  A certificate whose value is not exact is flagged conditional.
+One bottom-up table over the largest part allowed (an unbounded knapsack
+plus one row per bounded number of parts) answers every k up to its size,
+counting each partition once, in descending order.  Certificates achieve
+the interval's lower endpoint under optimistic costs and break ties by
+fewest parts, then lexicographically largest part vector.  A certificate
+whose value is not exact is flagged conditional.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 from functools import lru_cache
 from math import inf
 
-from .intervals import IntInterval, interval_sum
+from .intervals import IntInterval, interval_max, interval_sum
 from .ramsey import small_omega
 from .reports import FAIL, INDETERMINATE, PASS, CheckResult
 
@@ -47,54 +48,58 @@ class QCertificate:
             raise ValueError("certificate total must be the sum of its part values")
 
 
-def _minimize(k: int, s_max: int) -> tuple[IntInterval, QCertificate]:
-    """Bottom-up over the largest part p = 1..k: after round p, entry r of
-    row j is the best partition of r into parts <= p and, when s_max < k,
-    at most j parts (unrestricted, a single row is updated in place).
-    Entries are keyed (lo total, number of parts, -largest part); every
-    partition stored before round p has largest part < p, so the third
-    component settles ties toward lexicographically largest parts.  The
-    certificate is read back part by part from the final rows: a remainder
-    whose entry improved after it was used would improve k's entry too.
-    The upper endpoint is minimized on its own."""
-    bounded = s_max < k
-    rows = s_max if bounded else 1
-    best = [[(0, 0, 0)] + [(inf, 0, 0)] * k for _ in range(rows + 1)]
-    hi = [[0] + [inf] * k for _ in range(rows + 1)]
-    for p in range(1, k + 1):
-        cost = block_cost(p)
-        for j in range(1, rows + 1):
-            src = j - 1 if bounded else j
-            src_best, src_hi, row_best, row_hi = best[src], hi[src], best[j], hi[j]
-            for r in range(p, k + 1):
-                lo, nparts, _ = src_best[r - p]
-                cand = (lo + cost.lo, nparts + 1, -p)
-                if cand < row_best[r]:
-                    row_best[r] = cand
-                if src_hi[r - p] + cost.hi < row_hi[r]:
-                    row_hi[r] = src_hi[r - p] + cost.hi
-    value = IntInterval(best[rows][k][0], hi[rows][k])
-    parts = []
-    j, r = rows, k
-    while r:
-        parts.append(-best[j][r][2])
-        r -= parts[-1]
-        if bounded:
-            j -= 1
-    part_values = tuple(block_cost(p) for p in parts)
-    cert = QCertificate(
-        k, tuple(parts), part_values, interval_sum(part_values),
-        conditional=not value.exact,
-    )
-    assert cert.total.lo == value.lo
-    return value, cert
+def _partition_minima(k_max: int, s_max: int) -> Callable[[int, int], tuple[IntInterval, QCertificate]]:
+    """Reader (r, s) -> (value, certificate) of one table for all r <= k_max
+    and bounds s on the number of parts, s <= s_max where s < r.  Bottom-up
+    over the largest part p = 1..k_max: after round p, entry r of row
+    j = 1..min(s_max, k_max - 1) is the best partition of r into parts <= p
+    and at most j parts, read from row j - 1; the last row, updated in
+    place, allows any number, so it stands for every row j >= r.  Keys are
+    lo total * (k_max + 1) + number of parts, beside the largest part; all
+    stored before round p have largest part < p, so replacing on ties
+    settles them toward lexicographically largest parts.  The certificate
+    is read back part by part from the final rows: a remainder whose entry
+    improved after it was used would improve r's entry too.  The upper
+    endpoint is minimized on its own."""
+    last, m = min(s_max, k_max - 1) + 1, k_max + 1
+    key = [[0] + [inf] * k_max for _ in range(last + 1)]
+    largest = [[0] * m for _ in range(last + 1)]
+    hi = [[0] + [inf] * k_max for _ in range(last + 1)]
+    for p in range(1, k_max + 1):
+        step, cost_hi = block_cost(p).lo * m + 1, block_cost(p).hi
+        for j in range(1, last + 1):
+            src = j if j == last else j - 1
+            row_key, row_largest, row_hi = key[j], largest[j], hi[j]
+            # zip reads entry r - p after the in-place last row wrote it this round
+            for r, v, h in zip(range(p, m), key[src], hi[src]):
+                if v + step <= row_key[r]:
+                    row_key[r] = v + step
+                    row_largest[r] = p
+                if h + cost_hi < row_hi[r]:
+                    row_hi[r] = h + cost_hi
+
+    def minimum(k: int, s: int) -> tuple[IntInterval, QCertificate]:
+        row = s if s < k else last
+        value = IntInterval(key[row][k] // m, hi[row][k])
+        parts, r = [], k
+        while r:
+            parts.append(largest[s if s < r else last][r])
+            r -= parts[-1]
+            s -= 1
+        part_values = tuple(block_cost(p) for p in parts)
+        cert = QCertificate(k, tuple(parts), part_values, interval_sum(part_values),
+                            conditional=not value.exact)
+        assert cert.total.lo == value.lo
+        return value, cert
+
+    return minimum
 
 
 def q(k: int) -> tuple[IntInterval, QCertificate]:
     """Minimum total block cost over all partitions of k; q(0) = 0."""
     if k < 0:
         raise ValueError(f"need k >= 0, got {k}")
-    return _minimize(k, k)
+    return _partition_minima(k, 0)(k, k)
 
 
 def q_value(k: int) -> IntInterval:
@@ -107,7 +112,32 @@ def q_bounded_s(k: int, s_max: int) -> tuple[IntInterval, QCertificate]:
         raise ValueError(f"need k >= 1, got {k}")
     if s_max < 1:
         raise ValueError(f"need s_max >= 1, got {s_max}")
-    return _minimize(k, min(s_max, k))
+    return _partition_minima(k, s_max if s_max < k else 0)(k, s_max)
+
+
+def chromatic_gap(n: int) -> IntInterval:
+    """Largest possible excess of chromatic number over clique number on n
+    vertices, by the formula.
+
+    A partition of k into s parts fits in n vertices when its blocks, of
+    2 k_i + 1 vertices each, do: 2k + s <= n.  So the excess is the maximum
+    over 1 <= k <= (n - 1)/2 of k - q_bounded_s(k, n - 2k), the partition
+    minimum over the parts that fit (and 0, for the complete graph), from
+    one table with n // 3 bounded rows, since n - 2k < k only for k > n/3.
+    Both endpoints come from partitions that fit.  Each k is realized by
+    the join that `constructions.build_extremal` constructs, but it is
+    built and verified only where the catalog holds every block (k <= 8
+    with the built-in witnesses); beyond that the value rests on the
+    formula.  On every n the exhaustive oracle reaches, the maximum
+    provably matches `oracle.brute_gap`; `check gap` confirms it, and the
+    CLI's `gap` command chooses between the two."""
+    if n < 1:
+        raise ValueError(f"need n >= 1, got {n}")
+    minimum = _partition_minima((n - 1) // 2, n // 3)
+    candidates = [IntInterval.point(0)]  # k = 0: complete graph
+    for k in range(1, (n - 1) // 2 + 1):
+        candidates.append(k - minimum(k, n - 2 * k)[0])
+    return interval_max(*candidates)
 
 
 @dataclass(frozen=True)
@@ -131,12 +161,13 @@ def check_three_parts_suffice(k_max: int) -> FewPartsReport:
     minimization to at most 3 parts loses nothing; k with interval values
     are reported as indeterminate.  Also records where 2 parts or a single
     part would not suffice (the lone single-part exception is k = 4)."""
+    minimum = _partition_minima(k_max, 3)
     entries = []
     indeterminate = []
     two_part = []
     single = []
     for k in range(1, k_max + 1):
-        full, _ = q(k)
+        full, _ = minimum(k, k)
         if not full.exact:
             indeterminate.append(k)
             entries.append(CheckResult(
@@ -144,13 +175,13 @@ def check_three_parts_suffice(k_max: int) -> FewPartsReport:
                 f"q({k}) only known to lie in {full}; no verdict",
             ))
             continue
-        bounded, _ = q_bounded_s(k, 3)
+        bounded, _ = minimum(k, 3)
         ok = bounded == full
         entries.append(CheckResult(
             f"k={k}", PASS if ok else FAIL,
             f"min over <= 3 parts is {bounded}, unrestricted is {full}",
         ))
-        if q_bounded_s(k, 2)[0] != full:
+        if minimum(k, 2)[0] != full:
             two_part.append(k)
         if block_cost(k).exact and block_cost(k) != full:
             single.append(k)

@@ -70,21 +70,20 @@ def small_omega(x: int) -> IntInterval:
     return IntInterval(lo, hi)
 
 
-def verify_alpha2(graph: Graph, omega: int, source: str) -> tuple[int, Graph]:
-    """Independence number and complement of a built graph, once the exact
-    solvers show that alpha (the clique number of the complement) is at
-    most 2 and the clique number is `omega`; else a ValueError naming
-    `source`.  Every alpha <= 2 graph the package builds and certifies by
-    search passes here: the built-in bases, induced subgraphs of them and
-    compositions.  Joins go through `verify_join` instead."""
-    co = complement(graph)
-    alpha = solvers.clique_number(co)
+def verify_alpha2(graph: Graph, omega: int, source: str) -> int:
+    """Independence number of a built graph, once the exact solvers show
+    that alpha (the clique number of the complement) is at most 2 and the
+    clique number is `omega`; else a ValueError naming `source`.  Every
+    alpha <= 2 graph the package builds and certifies by search passes
+    here: the built-in bases, induced subgraphs of them and compositions.
+    Joins go through `verify_join` instead."""
+    alpha = solvers.clique_number(complement(graph))
     if alpha > 2:
         raise ValueError(f"{source}: independence number {alpha} > 2")
     got = solvers.clique_number(graph)
     if got != omega:
         raise ValueError(f"{source}: clique number {got}, expected {omega}")
-    return alpha, co
+    return alpha
 
 
 def verify_join(graph: Graph, parts: Sequence[tuple[Graph, int]], omega: int,

@@ -4,11 +4,13 @@ These deliberately share no code with the package solvers: cliques and
 independent sets by subset enumeration, colorability by bare recursion,
 matchings by exhaustive choice.  Only usable for small n, which is the
 point — they are the ground truth the fast solvers are pinned against.
+The partition minima enumerate every partition instead of running q's
+dynamic program.
 """
 
 from itertools import combinations
 
-from minclique import Graph
+from minclique import Graph, IntInterval, small_omega
 
 
 def clique_number(g: Graph) -> int:
@@ -102,3 +104,33 @@ def matching_number(g: Graph) -> int:
 
 def has_perfect_matching(g: Graph) -> bool:
     return g.n % 2 == 0 and matching_number(g) == g.n // 2
+
+
+def partitions(k: int, s: int, largest: int):
+    """Partitions of k into at most s parts of at most `largest` each, as
+    descending tuples."""
+    if k == 0:
+        yield ()
+    elif s:
+        for p in range(min(k, largest), 0, -1):
+            for rest in partitions(k - p, s - 1, p):
+                yield (p,) + rest
+
+
+def q_bounded(k: int, s: int) -> tuple[IntInterval, tuple[int, ...]]:
+    """Least total block cost, small_omega(2p + 1) - 1 per part p, over the
+    partitions of k into at most s parts, with the parts that attain the
+    lower endpoint: lowest lo, then fewest parts, then the lexicographically
+    largest part vector.  The upper endpoint is minimized on its own."""
+    cost = {p: small_omega(2 * p + 1) - 1 for p in range(1, k + 1)}
+    scored = [(sum(cost[p].lo for p in parts), sum(cost[p].hi for p in parts), parts)
+              for parts in partitions(k, s, k)]
+    lo, _, parts = min(scored, key=lambda t: (t[0], len(t[2]), [-p for p in t[2]]))
+    return IntInterval(lo, min(hi for _, hi, _ in scored)), parts
+
+
+def chromatic_gap(n: int) -> IntInterval:
+    """Endpointwise max of 0 and k - q_bounded(k, n - 2k) over 2k + 1 <= n."""
+    values = {k: q_bounded(k, n - 2 * k)[0] for k in range(1, (n - 1) // 2 + 1)}
+    return IntInterval(max([0] + [k - v.hi for k, v in values.items()]),
+                       max([0] + [k - v.lo for k, v in values.items()]))

@@ -3,8 +3,11 @@ import time
 
 import pytest
 
-from minclique import IntInterval, q, q_bounded_s, q_value
-from minclique.qfunction import block_cost, check_three_parts_suffice
+from minclique import IntInterval, chromatic_gap, q, q_bounded_s, q_value
+from minclique.qfunction import FewPartsReport, block_cost, check_three_parts_suffice
+from minclique.reports import FAIL, PASS, CheckResult
+
+import brute
 
 # the published row: q(k) for k = 0..19, then 21, 22 (k = 20 is open)
 EXACT_Q = {
@@ -53,6 +56,18 @@ def test_q_bounded_examples():
     assert q_bounded_s(4, 1)[0] == IntInterval.point(3)
     for k in range(1, 23):
         assert q_bounded_s(k, k)[0] == q_value(k)
+
+
+def test_q_bounded_matches_partition_enumeration():
+    for k in range(1, 19):
+        for s in range(1, k + 1):
+            value, cert = q_bounded_s(k, s)
+            assert (value, cert.parts) == brute.q_bounded(k, s), (k, s)
+
+
+def test_gap_matches_partition_enumeration():
+    for n in range(1, 38):
+        assert chromatic_gap(n) == brute.chromatic_gap(n), n
 
 
 def test_q_bounded_monotone_in_s():
@@ -124,6 +139,26 @@ def test_three_parts_report():
 
     small = check_three_parts_suffice(1)
     assert small.passed and len(small.entries) == 1
+
+
+def test_three_parts_report_from_small_tables():
+    # for k_max < 4 the one table has fewer than 3 bounded rows; every q(k)
+    # with k <= 6 is exact, so no entry is indeterminate
+    for k_max in range(1, 7):
+        ks = range(1, k_max + 1)
+        entries = []
+        for k in ks:
+            full, three = q_value(k), q_bounded_s(k, 3)[0]
+            assert full.exact
+            entries.append(CheckResult(
+                f"k={k}", PASS if three == full else FAIL,
+                f"min over <= 3 parts is {three}, unrestricted is {full}",
+            ))
+        assert check_three_parts_suffice(k_max) == FewPartsReport(
+            k_max, tuple(entries), (),
+            tuple(k for k in ks if q_bounded_s(k, 2)[0] != q_value(k)),
+            tuple(k for k in ks if block_cost(k) != q_value(k)),
+        ), k_max
 
 
 def test_q_runtime():

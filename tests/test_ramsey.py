@@ -140,8 +140,8 @@ def test_external_witness_rejection(c5):
 
 
 def test_verify_alpha2(c5):
-    assert verify_alpha2(c5, 2, "C5") == (2, complement(c5))
-    assert verify_alpha2(complete_graph(4), 4, "K4") == (1, empty_graph(4))
+    assert verify_alpha2(c5, 2, "C5") == 2
+    assert verify_alpha2(complete_graph(4), 4, "K4") == 1
     with pytest.raises(ValueError, match="^C5: clique number 2, expected 3$"):
         verify_alpha2(c5, 3, "C5")
     with pytest.raises(ValueError, match="^C6: independence number 3 > 2$"):
