@@ -26,13 +26,9 @@ from .graphs import (
     circulant,
     complement,
     complete_graph,
-    disjoint_union,
-    empty_graph,
-    from_edges,
     induced_subgraph,
     join,
     parse_graph6,
-    relabel,
     serialize_graph6,
 )
 from .intervals import IntInterval
@@ -51,7 +47,6 @@ from .solvers import (
     chromatic_number,
     clique_number,
     independence_number,
-    is_k_colorable,
     max_clique,
 )
 

@@ -4,17 +4,18 @@ Vertices are dense labels 0..n-1.  Row u is an integer whose bit v is set
 iff uv is an edge, so neighborhood intersection is a single AND — this is
 what makes the exact solvers fast at the sizes we care about (n <= 40).
 
-Also provides the construction primitives used throughout (complement,
-join, disjoint union, induced subgraph, circulants) and graph6
-serialization, the interchange format for small-graph corpora.
+Also provides the constructions the package builds its graphs from
+(complete graphs, complements, joins, induced subgraphs, circulants) and
+graph6 serialization, the interchange format for small-graph corpora.
 
 The three passes that read a whole adjacency matrix by columns go through
 one primitive, `transpose`: the rows are packed 64 bits apart into a single
 int, and six masked block swaps on that int transpose the 64 x 64 bit
-matrix.  Symmetry validation (a matrix equals its transpose), relabelling
-and induced subgraphs (`permuted_rows`: P A P^T = P (P A)^T for symmetric
-A) and graph6 parsing (lower triangle | its transpose) cost a handful of
-big-int operations each instead of O(n^2) Python-level bit tests.
+matrix.  Symmetry validation (a matrix equals its transpose), the clique
+search's relabelling and induced subgraphs (`permuted_rows`: P A P^T =
+P (P A)^T for symmetric A) and graph6 parsing (lower triangle | its
+transpose) cost a handful of big-int operations each instead of O(n^2)
+Python-level bit tests.
 """
 
 from __future__ import annotations
@@ -63,38 +64,9 @@ class Graph:
             u, v = divmod((asymmetric & -asymmetric).bit_length() - 1, 64)
             raise InvalidEdgeError(f"asymmetric adjacency between {u} and {v}")
 
-    def has_edge(self, u: int, v: int) -> bool:
-        self._check_vertex(u)
-        self._check_vertex(v)
-        return bool(self.adj[u] >> v & 1)
-
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        self._check_vertex(v)
-        return tuple(bits(self.adj[v]))
-
-    def degree(self, v: int) -> int:
-        self._check_vertex(v)
-        return self.adj[v].bit_count()
-
-    def edges(self) -> list[tuple[int, int]]:
-        """All edges (u, v) with u < v, in lexicographic order."""
-        out = []
-        for u in range(self.n):
-            row = self.adj[u] >> (u + 1) << (u + 1)
-            for v in bits(row):
-                out.append((u, v))
-        return out
-
     @property
     def num_edges(self) -> int:
         return sum(row.bit_count() for row in self.adj) // 2
-
-    def _check_vertex(self, v: int) -> None:
-        if not 0 <= v < self.n:
-            raise InvalidVertexError(f"vertex {v} outside 0..{self.n - 1}")
-
-    def __repr__(self) -> str:
-        return f"Graph(n={self.n}, edges={self.edges()!r})"
 
 
 def bits(mask: int) -> Iterable[int]:
@@ -167,23 +139,6 @@ def permuted_rows(adj: Sequence[int], order: Sequence[int]) -> list[int]:
     return [columns[v] for v in order]
 
 
-def from_edges(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
-    """Graph on n vertices with exactly the given edges (duplicates collapsed)."""
-    rows = [0] * n
-    for u, v in edges:
-        if not (0 <= u < n and 0 <= v < n):
-            raise InvalidVertexError(f"edge ({u}, {v}) has an endpoint outside 0..{n - 1}")
-        if u == v:
-            raise InvalidEdgeError(f"loop at vertex {u}")
-        rows[u] |= 1 << v
-        rows[v] |= 1 << u
-    return Graph(n, tuple(rows))
-
-
-def empty_graph(n: int) -> Graph:
-    return Graph(n, (0,) * n)
-
-
 def complete_graph(n: int) -> Graph:
     full = (1 << n) - 1
     return Graph(n, tuple(full ^ (1 << v) for v in range(n)))
@@ -192,19 +147,6 @@ def complete_graph(n: int) -> Graph:
 def complement(g: Graph) -> Graph:
     full = (1 << g.n) - 1
     return Graph(g.n, tuple(full & ~row & ~(1 << v) for v, row in enumerate(g.adj)))
-
-
-def disjoint_union(parts: Sequence[Graph]) -> Graph:
-    """Block-diagonal union; part i occupies a contiguous label range."""
-    total = sum(p.n for p in parts)
-    if total > MAX_VERTICES:
-        raise CapacityError(f"union of {total} vertices exceeds {MAX_VERTICES}")
-    rows: list[int] = []
-    offset = 0
-    for part in parts:
-        rows.extend(row << offset for row in part.adj)
-        offset += part.n
-    return Graph(total, tuple(rows))
 
 
 def join(parts: Sequence[Graph]) -> Graph:
@@ -224,17 +166,9 @@ def induced_subgraph(g: Graph, keep: Iterable[int]) -> Graph:
     """Subgraph on `keep`, relabeled 0..|keep|-1 in ascending vertex order."""
     kept = sorted(set(keep))
     for v in kept:
-        g._check_vertex(v)
+        if not 0 <= v < g.n:
+            raise InvalidVertexError(f"vertex {v} outside 0..{g.n - 1}")
     return Graph(len(kept), tuple(permuted_rows(g.adj, kept)))
-
-
-def relabel(g: Graph, perm: Sequence[int]) -> Graph:
-    """Image of g under the permutation sending v to perm[v]."""
-    if sorted(perm) != list(range(g.n)):
-        raise InvalidVertexError("not a permutation of the vertex set")
-    # the new vertex i is the old vertex that perm sends to i
-    order = sorted(range(g.n), key=perm.__getitem__)
-    return Graph(g.n, tuple(permuted_rows(g.adj, order)))
 
 
 def circulant(n: int, connections: Iterable[int]) -> Graph:
@@ -244,7 +178,11 @@ def circulant(n: int, connections: Iterable[int]) -> Graph:
     for d in connections:
         if not 1 <= d <= n // 2:
             raise InvalidEdgeError(f"connection distance {d} invalid for n={n}")
-    return from_edges(n, ((i, (i + d) % n) for i in range(n) for d in connections))
+    rows = [0] * n
+    for i in range(n):
+        for d in connections:
+            rows[i] |= 1 << (i + d) % n | 1 << (i - d) % n
+    return Graph(n, tuple(rows))
 
 
 # ---------------------------------------------------------------------------

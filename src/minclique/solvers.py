@@ -78,13 +78,6 @@ def clique_and_chromatic_number(g: Graph) -> tuple[int, int]:
     return omega, upper
 
 
-def is_k_colorable(g: Graph, k: int) -> bool:
-    """True iff g has a proper coloring with at most k colors."""
-    if k < 0:
-        raise ValueError("color count must be nonnegative")
-    return chromatic_number(g) <= k
-
-
 # -- clique branch and bound ------------------------------------------------
 
 

@@ -5,12 +5,36 @@ independent sets by subset enumeration, colorability by bare recursion,
 matchings by exhaustive choice.  Only usable for small n, which is the
 point — they are the ground truth the fast solvers are pinned against.
 The partition minima enumerate every partition instead of running q's
-dynamic program.
+dynamic program.  The helpers at the top (an edge-list builder, an edge
+reader and a relabeller) make the suite's inputs; the package itself works
+only on adjacency rows.
 """
 
 from itertools import combinations
 
 from minclique import Graph, IntInterval, small_omega
+from minclique.graphs import bits, permuted_rows
+
+
+def from_edges(n: int, pairs) -> Graph:
+    """Graph on n vertices with exactly the given edges (duplicates collapsed)."""
+    rows = [0] * n
+    for u, v in pairs:
+        rows[u] |= 1 << v
+        rows[v] |= 1 << u
+    return Graph(n, tuple(rows))
+
+
+def edges(g: Graph) -> list[tuple[int, int]]:
+    """All edges (u, v) with u < v, in lexicographic order."""
+    return [(u, v) for u in range(g.n) for v in range(u + 1, g.n) if g.adj[u] >> v & 1]
+
+
+def relabel(g: Graph, perm) -> Graph:
+    """Image of g under the permutation sending v to perm[v]."""
+    # the new vertex i is the old vertex that perm sends to i
+    order = sorted(range(g.n), key=perm.__getitem__)
+    return Graph(g.n, tuple(permuted_rows(g.adj, order)))
 
 
 def clique_number(g: Graph) -> int:
@@ -19,7 +43,7 @@ def clique_number(g: Graph) -> int:
         if r <= best:
             break
         for comb in combinations(range(g.n), r):
-            if all(g.has_edge(u, v) for u, v in combinations(comb, 2)):
+            if all(g.adj[u] >> v & 1 for u, v in combinations(comb, 2)):
                 best = r
                 break
     return best
@@ -31,7 +55,7 @@ def independence_number(g: Graph) -> int:
         if r <= best:
             break
         for comb in combinations(range(g.n), r):
-            if all(not g.has_edge(u, v) for u, v in combinations(comb, 2)):
+            if not any(g.adj[u] >> v & 1 for u, v in combinations(comb, 2)):
                 best = r
                 break
     return best
@@ -43,7 +67,7 @@ def is_k_colorable(g: Graph, k: int) -> bool:
     def rec(v: int) -> bool:
         if v == g.n:
             return True
-        used = {colors[u] for u in g.neighbors(v) if colors[u] >= 0}
+        used = {colors[u] for u in bits(g.adj[v]) if colors[u] >= 0}
         for c in range(min(k, v + 1)):  # at most one new color per vertex
             if c in used:
                 continue
@@ -88,13 +112,13 @@ def chromatic_number_by_inclusion_exclusion(g: Graph) -> int:
 
 
 def matching_number(g: Graph) -> int:
-    edges = g.edges()
+    pairs = edges(g)
 
     def rec(i: int, used: int) -> int:
-        if i == len(edges):
+        if i == len(pairs):
             return 0
         best = rec(i + 1, used)
-        u, v = edges[i]
+        u, v = pairs[i]
         if not (used >> u & 1) and not (used >> v & 1):
             best = max(best, 1 + rec(i + 1, used | 1 << u | 1 << v))
         return best

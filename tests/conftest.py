@@ -2,7 +2,9 @@ import random
 
 import pytest
 
-from minclique import Graph, WitnessCatalog, circulant, complete_graph, from_edges
+from minclique import Graph, WitnessCatalog, circulant, complete_graph
+
+from brute import from_edges
 
 
 @pytest.fixture(scope="session")

@@ -1,4 +1,5 @@
 import argparse
+import ast
 import io
 import json
 import os
@@ -8,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from minclique import canonical_form, oracle, parse_graph6, serialize_graph6, solvers
+from minclique import IntInterval, canonical_form, oracle, parse_graph6, serialize_graph6, solvers
 from minclique.cli import main
 from minclique.solvers import chromatic_number, clique_number, independence_number
 
@@ -187,6 +188,23 @@ def test_readme_commands_run(tmp_path, monkeypatch, c5):
     for argv in commands:  # `witness ... --out w.g6` writes the file `verify` reads
         code, _, err = run_cli(*argv)
         assert code == 0, (argv, err)
+
+
+def test_readme_library_tour_runs():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Library quick tour", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    namespace, values = {}, []
+    for stmt in ast.parse(block).body:  # keep the value of each bare expression
+        if isinstance(stmt, ast.Expr):
+            values.append(eval(compile(ast.Expression(stmt.value), "README.md", "eval"), namespace))
+        else:
+            exec(compile(ast.Module([stmt], []), "README.md", "exec"), namespace)
+    q4, q20, g6, chi_c5, q_7_5, eg_c5 = values
+    assert (q4, q20) == (IntInterval(2, 2), IntInterval(8, 9))
+    w = namespace["w"]
+    assert (w.graph.n, w.chi, w.omega) == (7, 5, 4)
+    assert (g6, chi_c5, q_7_5) == ("Fhf~w", 3, 4)
+    assert eg_c5.d == frozenset(range(5))
 
 
 def test_parser_is_built_once(monkeypatch):

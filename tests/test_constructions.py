@@ -16,9 +16,9 @@ from minclique import (
     complement,
     complete_graph,
     compose_alpha2,
-    disjoint_union,
     independence_number,
     induced_subgraph,
+    join,
     q_value,
     serialize_graph6,
 )
@@ -28,6 +28,7 @@ from minclique.constructions import ComposeInput, _lex_first_clique, eq4_upper_b
 from minclique.oracle import MAX_ENUM_VERTICES, brute_gap, enumerate_graphs
 from minclique.ramsey import default_catalog
 
+from brute import edges, from_edges
 from conftest import random_triangle_free
 
 
@@ -78,7 +79,7 @@ def test_compose_restricts_to_factors(c5):
     # V1 x U2 edges are absent
     for a in inp.clique1:
         for b in inp.clique2:
-            assert not h.has_edge(a, 5 + b)
+            assert not h.adj[a] >> 5 + b & 1
 
 
 def _compose_reference(g1, g2, clique1, clique2, x, y):
@@ -88,18 +89,18 @@ def _compose_reference(g1, g2, clique1, clique2, x, y):
     n1, n2 = g1.n, g2.n
     x, y = min(x, y), max(x, y)
     if y < n1:
-        return g1.has_edge(x, y)
+        return g1.adj[x] >> y & 1
     if x >= n1 + n2:
         return True  # R is a clique
     if x >= n1:
         if y < n1 + n2:
-            return g2.has_edge(x - n1, y - n1)
+            return g2.adj[x - n1] >> y - n1 & 1
         u, b = clique2[y - n1 - n2], x - n1  # r_i and a vertex of g2
-        return b in clique2 or g2.has_edge(u, b)
+        return b in clique2 or g2.adj[u] >> b & 1
     if y < n1 + n2:
         return not (x in clique1 and y - n1 in clique2)  # cross edges but V1 x U2
     v = clique1[y - n1 - n2]  # r_i and a vertex of g1
-    return x in clique1 or g1.has_edge(v, x)
+    return x in clique1 or g1.adj[v] >> x & 1
 
 
 def test_compose_matches_docstring_rules(catalog):
@@ -112,7 +113,7 @@ def test_compose_matches_docstring_rules(catalog):
 
     def some_clique(g, size):
         return rng.choice([c for c in itertools.combinations(range(g.n), size)
-                           if all(g.has_edge(u, v) for u, v in itertools.combinations(c, 2))])
+                           if all(g.adj[u] >> v & 1 for u, v in itertools.combinations(c, 2))])
 
     for _ in range(40):
         g1, g2 = sorted((alpha2_graph(), alpha2_graph()), key=clique_number, reverse=True)
@@ -125,7 +126,7 @@ def test_compose_matches_docstring_rules(catalog):
             assert h.n == g1.n + g2.n + omega2
             for x, y in itertools.combinations(range(h.n), 2):
                 expected = _compose_reference(g1, g2, inp.clique1, inp.clique2, x, y)
-                assert h.has_edge(x, y) == expected, (inp, x, y)
+                assert h.adj[x] >> y & 1 == expected, (inp, x, y)
 
 
 def test_lex_first_clique_is_first_combination():
@@ -135,7 +136,7 @@ def test_lex_first_clique_is_first_combination():
             for size in range(1, clique_number(g) + 1):
                 first = next(
                     c for c in itertools.combinations(range(n), size)
-                    if all(g.has_edge(u, v) for u, v in itertools.combinations(c, 2))
+                    if all(g.adj[u] >> v & 1 for u, v in itertools.combinations(c, 2))
                 )
                 assert _lex_first_clique(g, size) == first, (g, size)
 
@@ -144,7 +145,7 @@ def test_compose_input_errors(c5):
     with pytest.raises(PreconditionError):
         ComposeInput.build(c5, complete_graph(3))  # omega1 < omega2
     with pytest.raises(PreconditionError):
-        ComposeInput.build(disjoint_union([complete_graph(3)] * 3), c5)  # alpha 3
+        ComposeInput.build(complement(join([from_edges(3, [])] * 3)), c5)  # 3 K3: alpha 3
     with pytest.raises(PreconditionError):
         ComposeInput.build(c5, c5, (0, 2), (0, 1))  # not a clique
     with pytest.raises(PreconditionError):
@@ -193,7 +194,7 @@ def test_build_extremal_matches_networkx():
         w = build_extremal(n, k)
         h = nx.Graph()
         h.add_nodes_from(range(n))
-        h.add_edges_from(w.graph.edges())
+        h.add_edges_from(edges(w.graph))
         assert max(len(c) for c in nx.find_cliques(h)) == w.omega, (n, k)
         assert max(len(c) for c in nx.find_cliques(nx.complement(h))) <= 2, (n, k)
 

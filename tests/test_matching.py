@@ -6,21 +6,17 @@ from minclique import (
     PreconditionError,
     chromatic_number,
     complement,
-    complete_graph,
-    disjoint_union,
     edmonds_gallai,
-    empty_graph,
-    from_edges,
     induced_subgraph,
     matching_number,
     max_matching,
-    relabel,
     verify_complement_partition,
 )
 from minclique import solvers
 from minclique.oracle import enumerate_graphs
 
 import brute
+from brute import edges, from_edges, relabel
 from conftest import random_graph, random_triangle_free
 
 
@@ -28,14 +24,14 @@ def test_matching_known(c5, k4, petersen):
     assert matching_number(c5) == 2
     assert matching_number(k4) == 2
     assert matching_number(petersen) == 5
-    assert matching_number(empty_graph(6)) == 0
+    assert matching_number(from_edges(6, [])) == 0
 
 
 def test_matching_is_valid(petersen):
     m = max_matching(petersen)
     seen = set()
     for u, v in m.pairs:
-        assert petersen.has_edge(u, v)
+        assert petersen.adj[u] >> v & 1
         assert u not in seen and v not in seen
         seen.update((u, v))
 
@@ -67,7 +63,7 @@ def _nx_matching_number(g):
     nx = pytest.importorskip("networkx")
     h = nx.Graph()
     h.add_nodes_from(range(g.n))
-    h.add_edges_from(g.edges())
+    h.add_edges_from(edges(g))
     return len(nx.max_weight_matching(h, maxcardinality=True))
 
 
@@ -177,7 +173,7 @@ def test_partition_report_with_separator():
 
 def test_partition_report_singletons():
     # K3 + K1: the complement is a star centred on 3, so 3 separates three singletons
-    report = verify_complement_partition(disjoint_union([complete_graph(3), complete_graph(1)]), 1)
+    report = verify_complement_partition(complement(from_edges(4, [(0, 3), (1, 3), (2, 3)])), 1)
     assert report.passed
     assert report.separator == frozenset({3}) and not report.isolated
     assert [c.kind for c in report.components] == ["singleton"] * 3

@@ -3,7 +3,7 @@ import time
 
 import pytest
 
-from minclique import IntInterval, chromatic_gap, q, q_bounded_s, q_value
+from minclique import IntInterval, chromatic_gap, q, q_bounded_s, q_value, qfunction
 from minclique.qfunction import FewPartsReport, block_cost, check_three_parts_suffice
 from minclique.reports import FAIL, PASS, CheckResult
 
@@ -40,6 +40,19 @@ def test_q_certificates():
     _, cert = q(20)
     assert cert.conditional
     assert cert.total.lo == 8
+
+
+@pytest.mark.parametrize("costs, parts", [
+    ({1: 1, 3: 2, 4: 2}, (3, 3)),  # ties (4, 1, 1): fewest parts wins
+    ({2: 2, 3: 3, 4: 4}, (4, 2)),  # ties (3, 3) and (2, 2, 2): lexicographically largest
+], ids=["fewest-parts", "lex-largest"])
+def test_q_certificate_tie_breaks(monkeypatch, costs, parts):
+    # today's Ramsey table has no tie that these rules decide, so the costs
+    # are planted (10 for a part not listed)
+    monkeypatch.setattr(qfunction, "block_cost", lambda p: IntInterval.point(costs.get(p, 10)))
+    value, cert = q(6)
+    assert value == IntInterval.point(sum(costs[p] for p in parts))
+    assert cert.parts == parts
 
 
 def test_certificates_consistent():

@@ -11,7 +11,6 @@ from minclique import (
     InvalidVertexError,
     chromatic_gap,
     complete_graph,
-    is_k_colorable,
     join,
     parse_graph6,
     q_bounded_s,
@@ -29,13 +28,12 @@ from minclique.oracle import verify_clique_formula
     (lambda: join([complete_graph(40), complete_graph(40)]), CapacityError),
     (lambda: q_bounded_s(0, 1), ValueError),
     (lambda: q_bounded_s(3, 0), ValueError),
-    (lambda: is_k_colorable(complete_graph(3), -1), ValueError),
     (lambda: chromatic_gap(0), ValueError),
     (lambda: IntInterval(2, 1), ValueError),
     (lambda: interval_max(), ValueError),
     (lambda: verify_clique_formula(9), CapacityError),
 ], ids=["g6-huge", "g6-short-count", "g6-padding", "rows", "join-empty", "join-capacity",
-        "q-k0", "q-s0", "colors-negative", "gap-n0", "interval-empty", "max-empty",
+        "q-k0", "q-s0", "gap-n0", "interval-empty", "max-empty",
         "census-n9"])
 def test_input_is_rejected_with_typed_error(call, error):
     with pytest.raises(error):
