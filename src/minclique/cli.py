@@ -163,6 +163,8 @@ def _cmd_verify(args) -> _Report:
 
 
 def _cmd_gap(args) -> _Report:
+    if args.n < 0:
+        raise _InputError("gap needs n >= 0")
     if args.n <= oracle.MAX_ENUM_VERTICES:
         mode, value = "oracle", IntInterval.point(oracle.brute_gap(args.n))
     else:

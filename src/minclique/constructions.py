@@ -15,14 +15,13 @@ its two rows, and one `transpose` adds the reverse edges (row | column).
 number n - k: join the optimal witness blocks (one per part of the q(k)
 certificate, block i on 2 k_i + 1 vertices) together with enough dominating
 vertices.  In a join a clique meets each part in a clique and an independent
-set lies inside one part, so the clique number is the sum of the parts' and
-the independence number the largest part's.  `ramsey.verify_join` checks the
-graph row by row against its parts and certifies both facts from those the
-catalog proved for its blocks, with no search on the joined graph.  The join
-has no independent triple, so a proper coloring uses classes of at most two
-vertices, and the classes of size two form a matching of the complement:
-chi = n - nu(complement) (Gallai), one maximum matching instead of a
-chromatic search, checked to be n - k.
+set, so also a colour class, lies inside one part: the clique number and the
+chromatic number are the sums of the parts' and the independence number is
+the largest part's.  `ramsey.certified_join` forms the join's rows once and
+takes all three from the facts the catalog certified for its blocks, with
+no search and no matching on the joined graph.  A block's chromatic number
+is found once per served size (one maximum matching of its complement), so
+chi = n - k is checked as a sum.
 
 `compose_alpha2`'s output is no join, so it certifies alpha <= 2 and its
 clique number by search, with `ramsey.verify_alpha2`, the exact check every
@@ -34,12 +33,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import CapacityError, InvalidVertexError, PreconditionError
-from .graphs import (MAX_VERTICES, Graph, bits, complement, complete_graph,
-                     induced_subgraph, join, transpose)
+from .graphs import MAX_VERTICES, Graph, bits, complete_graph, induced_subgraph, transpose
 from .intervals import IntInterval
 from .qfunction import QCertificate, q
-from .ramsey import default_catalog, r3, small_omega, verify_alpha2, verify_join
-from . import matching, solvers
+from .ramsey import certified_join, default_catalog, r3, verify_alpha2
+from . import solvers
 
 
 @dataclass(frozen=True)
@@ -175,16 +173,13 @@ def build_extremal(n: int, k: int) -> ExtremalWitness:
             f"q({k}) is only known to lie in {value}; cannot certify an extremal graph"
         )
     catalog = default_catalog()
-    # each catalog witness on x vertices has alpha <= 2 and clique number small_omega(x)
-    parts = [(catalog.witness_alpha2(2 * part + 1), small_omega(2 * part + 1).lo)
-             for part in cert.parts]
-    extra = n - sum(block.n for block, _ in parts)
+    # each catalog block on x vertices: alpha <= 2, omega small_omega(x), chi certified
+    parts = [catalog.block(2 * part + 1) for part in cert.parts]
+    extra = n - sum(block.n for block, _, _ in parts)
     if extra:
-        parts.append((complete_graph(extra), extra))
-    graph = join([part for part, _ in parts])
+        parts.append((complete_graph(extra), extra, extra))
     omega = n - 2 * k + value.lo
-    verify_join(graph, parts, omega, f"extremal graph for (n, k) = ({n}, {k})")
-    chi = n - matching.matching_number(complement(graph))
+    graph, chi = certified_join(parts, omega, f"extremal graph for (n, k) = ({n}, {k})")
     if chi != n - k:
         raise RuntimeError(
             f"internal error: joined graph has chromatic number {chi}, expected {n - k}"

@@ -17,7 +17,10 @@ built-in base is admitted only if small_omega(n) is exact (n <= 39), and the
 exact solvers show that its independence number is at most 2 and its clique
 number equals small_omega(n).  Every derived graph is certified before it is
 handed out: an induced subgraph by the same search, a base joined with
-dominating vertices by `verify_join`, from the base's admitted facts.
+dominating vertices by `certified_join`, from the base's admitted facts.
+Each served size also carries its chromatic number.  A join's is the sum
+of its parts'; any other witness has alpha <= 2, so its chromatic number
+is x - nu(complement) (Gallai), one maximum matching per served size.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ from .graphs import (
     parse_graph6,
 )
 from .intervals import IntInterval
-from . import solvers
+from . import matching, solvers
 
 # Exact values R(3, ell) for ell = 1..9, then published brackets.
 _EXACT_R3 = (1, 3, 6, 9, 14, 18, 23, 28, 36)
@@ -76,7 +79,8 @@ def verify_alpha2(graph: Graph, omega: int, source: str) -> int:
     clique number is `omega`; else a ValueError naming `source`.  Every
     alpha <= 2 graph the package builds and certifies by search passes
     here: the built-in bases, induced subgraphs of them and compositions.
-    Joins go through `verify_join` instead."""
+    Joins go through `certified_join` instead, which also sums the parts'
+    chromatic numbers."""
     alpha = solvers.clique_number(complement(graph))
     if alpha > 2:
         raise ValueError(f"{source}: independence number {alpha} > 2")
@@ -86,36 +90,24 @@ def verify_alpha2(graph: Graph, omega: int, source: str) -> int:
     return alpha
 
 
-def verify_join(graph: Graph, parts: Sequence[tuple[Graph, int]], omega: int,
-                source: str) -> None:
-    """Certify, with no search, that a graph has independence number at
-    most 2 and clique number `omega`, given that it is the join of `parts`.
+def certified_join(parts: Sequence[tuple[Graph, int, int]], omega: int,
+                   source: str) -> tuple[Graph, int]:
+    """The join of `parts` and its chromatic number, certified with no search.
 
-    Each part comes with its clique number, and each must be certified to
-    have independence number at most 2: a catalog witness or a complete
-    graph.  The check is that row v of `graph` is the row of v in its part,
-    shifted to the part's label range, together with every vertex outside
-    that range; a ValueError names `source` and the first row that differs.
-    Then a clique meets each part in a clique, so omega(graph) is the sum
-    of the parts' clique numbers, which must equal `omega`.  And two
-    vertices of different parts are adjacent, so an independent set lies in
-    one part: alpha(graph) is the largest alpha of a part, at most 2.
+    Each part is (graph, omega, chi) with both numbers certified, and each
+    graph must be certified to have independence number at most 2: a
+    catalog witness or a complete graph.  A clique meets each part in a
+    clique, so the join's clique number is the sum of the parts', which
+    must equal `omega`; else a ValueError naming `source`.  Two vertices of
+    different parts are adjacent, so an independent set, and with it a
+    colour class, lies in one part: the join's independence number is the
+    largest part's, at most 2, and its chromatic number the sum of the
+    parts'.
     """
-    full = (1 << graph.n) - 1
-    expected: list[int] = []
-    for part, _ in parts:
-        offset = len(expected)
-        outside = full & ~(((1 << part.n) - 1) << offset)
-        expected.extend(row << offset | outside for row in part.adj)
-    for v, (row, want) in enumerate(zip(graph.adj, expected)):
-        if row != want:
-            raise ValueError(f"{source}: row {v} is not the join of its parts")
-    if len(expected) != graph.n:
-        raise ValueError(
-            f"{source}: the parts have {len(expected)} vertices, the graph {graph.n}")
-    got = sum(part_omega for _, part_omega in parts)
+    got = sum(part_omega for _, part_omega, _ in parts)
     if got != omega:
         raise ValueError(f"{source}: clique number {got}, expected {omega}")
+    return join([graph for graph, _, _ in parts]), sum(chi for _, _, chi in parts)
 
 
 # Triangle-free sides of the classic lower-bound graphs for R(3, 2..6), on
@@ -138,7 +130,8 @@ class WitnessCatalog:
 
     def __init__(self):
         self._bases: dict[int, Graph] = {}  # vertex count -> admitted graph
-        self._witness_cache: dict[int, Graph] = {}
+        # vertex count -> (witness, omega, chi), filled when a size is first served
+        self._witness_cache: dict[int, tuple[Graph, int, int]] = {}
         for side in (circulant(2, {1}), circulant(5, {2}), circulant(8, {1, 4}),
                      circulant(13, {1, 5}), parse_graph6(_G17_TRIANGLE_FREE)):
             self._admit(complement(side), f"built-in witness on {side.n} vertices")
@@ -165,56 +158,58 @@ class WitnessCatalog:
         enlarge an independent set), or, where no base lines up, as an
         induced subgraph of the next stored witness (which cannot lower
         the clique number below small_omega(x)).  Either way the result is
-        certified before it is returned: the join by `verify_join` from the
-        base's admitted clique number, the induced subgraph by
+        certified before it is returned: the join by `certified_join` from
+        the base's admitted clique number, the induced subgraph by
         `verify_alpha2`.  Sizes are bounded only by small_omega(x) being
         exact (x <= 39) and by the stored bases.
         """
-        if x < 1:
-            raise UnsupportedWitnessError(f"need x >= 1, got {x}")
-        if x in self._bases:
-            return self._bases[x]
-        if x in self._witness_cache:
-            return self._witness_cache[x]
-        target = small_omega(x)
-        if not target.exact:
-            raise UnsupportedWitnessError(
-                f"clique target for x = {x} is only known to lie in {target}"
-            )
-        w = target.lo
-        graph = self._construct(x, w, f"derived witness on {x} vertices")
-        if graph is None:
-            raise UnsupportedWitnessError(
-                f"no catalog construction reaches {x} vertices with clique {w}; "
-                f"stored bases: {self.base_sizes()}"
-            )
-        self._witness_cache[x] = graph
-        return graph
+        return self.block(x)[0]
 
-    def _construct(self, x: int, w: int, source: str) -> Graph | None:
-        """A certified x-vertex graph with alpha <= 2 and clique number w
-        derived from a base, or None if no base lines up."""
+    def block(self, x: int) -> tuple[Graph, int, int]:
+        """`witness_alpha2(x)` as a part for `certified_join`: the graph,
+        its clique number small_omega(x) and its chromatic number, all
+        found when the size is first served."""
+        if x not in self._witness_cache:
+            if x < 1:
+                raise UnsupportedWitnessError(f"need x >= 1, got {x}")
+            target = small_omega(x)
+            if not target.exact:
+                raise UnsupportedWitnessError(
+                    f"clique target for x = {x} is only known to lie in {target}"
+                )
+            graph, chi = self._construct(x, target.lo)
+            self._witness_cache[x] = graph, target.lo, chi
+        return self._witness_cache[x]
+
+    def _construct(self, x: int, w: int) -> tuple[Graph, int]:
+        """A certified x-vertex graph with alpha <= 2 and clique number w,
+        stored or derived from a base, with its chromatic number."""
+        source = f"derived witness on {x} vertices"
         # dominating augmentation: base on fewer vertices, smaller clique;
         # admission proved each base's clique number equals small_omega(size)
         candidates = [
             size for size in self._bases
             if size < x and small_omega(size).lo + (x - size) == w
         ]
-        if candidates:
-            base = self._bases[max(candidates)]
-            dominating = complete_graph(x - base.n)
-            graph = join([base, dominating])
-            verify_join(graph, [(base, small_omega(base.n).lo), (dominating, dominating.n)],
-                        w, source)
-            return graph
-        # induced subgraph of a bigger witness with the same clique number
-        candidates = [size for size in self._bases if size > x and small_omega(size).lo == w]
-        if candidates:
-            base = self._bases[min(candidates)]
-            graph = induced_subgraph(base, range(x))
+        if x in self._bases:
+            graph = self._bases[x]
+        elif candidates:
+            base = max(candidates)
+            dominating = complete_graph(x - base)
+            return certified_join([self.block(base), (dominating, x - base, x - base)], w, source)
+        else:
+            # induced subgraph of a bigger witness with the same clique number
+            candidates = [size for size in self._bases if size > x and small_omega(size).lo == w]
+            if not candidates:
+                raise UnsupportedWitnessError(
+                    f"no catalog construction reaches {x} vertices with clique {w}; "
+                    f"stored bases: {self.base_sizes()}"
+                )
+            graph = induced_subgraph(self._bases[min(candidates)], range(x))
             verify_alpha2(graph, w, source)
-            return graph
-        return None
+        # alpha <= 2: a colour class has at most two vertices, and the classes
+        # of two form a matching of the complement (Gallai)
+        return graph, x - matching.matching_number(complement(graph))
 
 
 @cache

@@ -137,6 +137,13 @@ def test_gap_command():
     code, payload, _ = run_cli("gap", "6")
     assert code == 0 and payload["results"]["mode"] == "oracle"
 
+    code, payload, _ = run_cli("gap", "0")
+    assert code == 0 and payload["results"] == {"gap": [0, 0], "mode": "oracle"}
+
+    # rejected by gap itself, not by the oracle's enumeration range
+    code, payload, err = run_cli("gap", "-3")
+    assert code == 2 and payload is None and err == "error: gap needs n >= 0\n"
+
     # n picks the route; argparse reports the removed flag on main's err
     code, payload, err = run_cli("gap", "9", "--mode", "oracle")
     assert code == 2 and payload is None and "error" in err

@@ -19,10 +19,11 @@ from minclique import (
     independence_number,
     induced_subgraph,
     join,
+    matching_number,
     q_value,
     serialize_graph6,
 )
-from minclique import solvers
+from minclique import matching, solvers
 from minclique.cli import main
 from minclique.constructions import ComposeInput, _lex_first_clique, eq4_upper_bound
 from minclique.oracle import MAX_ENUM_VERTICES, brute_gap, enumerate_graphs
@@ -170,7 +171,7 @@ def test_build_extremal_examples():
 
 def test_build_extremal_verified_by_solvers():
     # (17, 7) and (19, 8) use the 15- and 17-vertex blocks, so every block
-    # size the catalog serves has its matching-certified chi re-solved here
+    # size the catalog serves has its summed chi re-solved here
     for n, k in [(7, 2), (8, 2), (9, 3), (10, 3), (11, 4), (17, 7), (19, 8)]:
         w = build_extremal(n, k)
         assert chromatic_number(w.graph) == n - k == w.chi
@@ -179,13 +180,15 @@ def test_build_extremal_verified_by_solvers():
 
 
 def test_build_extremal_every_pair_by_search():
-    # build_extremal certifies omega and alpha from the joined blocks' facts;
-    # the exact solvers re-solve both on every buildable pair
+    # build_extremal certifies omega, alpha and chi from the joined blocks'
+    # facts; the exact solvers re-solve omega and alpha on every buildable
+    # pair, and Gallai's chi = n - nu(complement) checks chi on the whole join
     for k in range(9):
         for n in range(2 * k + 3, 65):
             w = build_extremal(n, k)
             assert clique_number(w.graph) == w.omega, (n, k)
             assert independence_number(w.graph) <= 2, (n, k)
+            assert w.chi == n - matching_number(complement(w.graph)), (n, k)
 
 
 def test_build_extremal_matches_networkx():
@@ -200,15 +203,21 @@ def test_build_extremal_matches_networkx():
 
 
 def test_build_extremal_runs_no_clique_search(monkeypatch):
-    for x in range(1, 18, 2):  # every block size, derived witnesses cached
+    for x in range(1, 18, 2):  # every block size served, with its facts
         default_catalog().witness_alpha2(x)
 
     def no_search(g):
         raise AssertionError("build_extremal ran a clique search")
 
+    def no_matching(g):
+        raise AssertionError("build_extremal ran a matching")
+
     monkeypatch.setattr(solvers, "clique_number", no_search)
+    monkeypatch.setattr(matching, "matching_number", no_matching)
     for k in range(9):
-        assert build_extremal(64, k).omega == 64 - 2 * k + q_value(k).lo
+        w = build_extremal(64, k)
+        assert w.omega == 64 - 2 * k + q_value(k).lo
+        assert w.chi == 64 - k
 
 
 def test_build_extremal_join_identity(catalog):

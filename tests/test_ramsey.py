@@ -2,6 +2,7 @@ import pytest
 
 from minclique import (
     IntInterval,
+    chromatic_number,
     UnsupportedWitnessError,
     WitnessCatalog,
     circulant,
@@ -9,11 +10,12 @@ from minclique import (
     complement,
     complete_graph,
     independence_number,
+    matching_number,
     r3,
     small_omega,
 )
 from minclique.graphs import Graph, join
-from minclique.ramsey import verify_alpha2, verify_join
+from minclique.ramsey import certified_join, verify_alpha2
 
 
 def test_r3_exact_values():
@@ -91,6 +93,8 @@ def test_witness_properties_whole_range(catalog):
         assert g.n == x
         assert clique_number(g) == small_omega(x).lo
         assert independence_number(g) <= 2
+        # the facts each block brings to a join, re-solved by search
+        assert catalog.block(x) == (g, small_omega(x).lo, chromatic_number(g)), x
 
 
 def test_witness_examples(catalog, c5):
@@ -147,21 +151,10 @@ def test_verify_alpha2(c5):
         verify_alpha2(circulant(6, {1}), 2, "C6")
 
 
-def test_verify_join(c5):
-    parts = [(c5, 2), (complete_graph(3), 3), (c5, 2)]
-    graph = join([part for part, _ in parts])
-    assert verify_join(graph, parts, 7, "J") is None
+def test_certified_join(c5):
+    parts = [(c5, 2, 3), (complete_graph(3), 3, 3), (c5, 2, 3)]
+    graph, chi = certified_join(parts, 7, "J")
+    assert graph == join([part for part, _, _ in parts])
+    assert chi == 9 == chromatic_number(graph) == 13 - matching_number(complement(graph))
     with pytest.raises(ValueError, match="^J: clique number 7, expected 6$"):
-        verify_join(graph, parts, 6, "J")  # the parts' clique numbers miss the target
-    # one cross edge, 1 -- 6, removed from both rows
-    rows = list(graph.adj)
-    rows[1] &= ~(1 << 6)
-    rows[6] &= ~(1 << 1)
-    with pytest.raises(ValueError, match="^J: row 1 is not the join of its parts$"):
-        verify_join(Graph(13, tuple(rows)), parts, 7, "J")
-    # a part that is not the graph's: C5 with its edge 3 -- 4 removed, a path
-    p5 = Graph(5, (c5.adj[0], c5.adj[1], c5.adj[2], c5.adj[3] & ~(1 << 4), c5.adj[4] & ~(1 << 3)))
-    with pytest.raises(ValueError, match="^J: row 11 is not the join of its parts$"):
-        verify_join(graph, parts[:2] + [(p5, 2)], 7, "J")
-    with pytest.raises(ValueError, match="^J: the parts have 8 vertices, the graph 13$"):
-        verify_join(graph, parts[:2], 7, "J")
+        certified_join(parts, 6, "J")  # the parts' clique numbers miss the target
