@@ -2,8 +2,9 @@
 
 
 class CapacityError(ValueError):
-    """Requested size exceeds a hard limit (64 vertices, or
-    oracle.MAX_ENUM_VERTICES for enumeration)."""
+    """Requested size exceeds a hard limit (64 vertices,
+    oracle.MAX_ENUM_VERTICES for enumeration, or one of the arithmetic
+    limits in qfunction)."""
 
 
 class InvalidVertexError(ValueError):

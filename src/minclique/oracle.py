@@ -18,7 +18,30 @@ vertex v of G with the maximal key.  G - v is isomorphic to some level-n
 representative P, because level n is complete.  So the child of P whose
 mask is v's neighborhood is isomorphic to G, and its new vertex has key(v),
 which is the maximum.  Every class therefore keeps at least one child, and
-the canonical-form dict still removes the duplicates among the survivors.
+the two steps below remove the duplicates among the survivors.
+
+Most survivors need no canonical form (the same paper's orbit argument).
+For each parent P only the least mask of each orbit of Aut(P) is tried.
+Aut(P) is found by backtracking over the maps that keep keys and
+adjacency (`_automorphisms`), and not at all when every key is distinct,
+since only the identity then keeps them.  Masks in one orbit give
+isomorphic children, and the degree, budget and key tests give them the
+same verdict: an automorphism keeps degrees and edge counts, and the set
+of the parent's top-degree vertices is a union of degree classes.  Then a
+survivor whose new vertex is the only vertex with the maximal key is kept
+with no canonical form.  Take two such survivors in one class, from
+parents P and P'.  An isomorphism between them maps the one top-key
+vertex to the other, so new vertex to new vertex; it restricts to an
+isomorphism P -> P', so P = P', since a level holds one representative
+per class, and it restricts to an automorphism of P that sends one mask
+to the other.  The orbit step tried only one of the two masks, so the two
+survivors are one.  Whether a class has a unique top-key vertex depends
+on the class alone, so a class with a tied top key has only tied
+survivors, and only those go through a set of canonical forms.  Neither
+step changes a representative.  The first occurrence of a class in parent
+order, then mask order, is the least mask of its orbit, since every mask
+of that orbit gives the same class; so it is still tried and still kept
+first, and every level holds the same representatives in the same order.
 
 Only the lighter half of each level is generated.  Complementation is a
 bijection on isomorphism classes that sends e edges to C(n + 1, 2) - e, so
@@ -181,12 +204,38 @@ def _canonical_columns(n: int, adj, keys: list[tuple]) -> tuple[int, ...]:
 _levels: list[list[tuple[int, ...]]] = [[()]]  # adjacency-row tuples per n
 
 
+def _automorphisms(n: int, adj, keys: list[tuple]) -> list[tuple[int, ...]]:
+    """Every automorphism of the graph, as the tuple of vertex images.
+    `keys` must be `_vertex_keys(n, adj)`: an automorphism keeps keys, so
+    vertex v is mapped in turn to each unused w with v's key whose row
+    agrees with v's on the vertices mapped so far."""
+    candidates = [[w for w in range(n) if keys[w] == keys[v]] for v in range(n)]
+    image = [0] * n
+    group = []
+
+    def extend(v: int, used: int) -> None:
+        if v == n:
+            group.append(tuple(image))
+            return
+        row, mapped = adj[v], 0
+        for u in range(v):  # v's row on 0..v-1, carried over by the map so far
+            mapped |= (row >> u & 1) << image[u]
+        for w in candidates[v]:
+            if not used >> w & 1 and adj[w] & used == mapped:
+                image[v] = w
+                extend(v + 1, used | 1 << w)
+
+    extend(0, 0)
+    return group
+
+
 def _ensure_level(n: int) -> None:
     while len(_levels) <= n:
         prev = _levels[-1]
         m = len(_levels) - 1
         total = (m + 1) * m // 2  # edges of the complete graph on m + 1 vertices
-        seen: dict[tuple[int, ...], tuple[int, ...]] = {}
+        lighter: list[tuple[int, ...]] = []
+        seen: set[tuple[int, ...]] = set()  # canonical forms of tied children
         for rows in prev:
             # mask.bit_count() >= degs[v] + (mask >> v & 1) for every v holds
             # iff the new degree exceeds the parent's maximum degree, or
@@ -195,20 +244,38 @@ def _ensure_level(n: int) -> None:
             top = max(degs, default=0)
             top_mask = sum(1 << v for v, d in enumerate(degs) if d == top)
             budget = total // 2 - sum(degs) // 2  # mask bits left for the child
+            masks = []
             for mask in range(1 << m):
                 d = mask.bit_count()
-                if d < top or d > budget or (d == top and mask & top_mask):
-                    continue
+                if top <= d <= budget and not (d == top and mask & top_mask):
+                    masks.append(mask)
+            parent_keys = _vertex_keys(m, rows) if len(masks) > 1 else []
+            # some key tied; with distinct keys only the identity keeps them
+            if len(set(parent_keys)) < len(parent_keys):
+                # the least mask of each Aut(P)-orbit, in mask order
+                powers = [[1 << w for w in image]
+                          for image in _automorphisms(m, rows, parent_keys)]
+                least, covered = [], set()
+                for mask in masks:
+                    if mask not in covered:
+                        least.append(mask)
+                        vs = [v for v in range(m) if mask >> v & 1]
+                        covered.update(sum([p[v] for v in vs]) for p in powers)
+                masks = least
+            for mask in masks:
                 child = tuple(
                     row | ((mask >> v & 1) << m) for v, row in enumerate(rows)
                 ) + (mask,)
                 keys = _vertex_keys(m + 1, child)
-                if keys[m] < max(keys):
+                top_key = max(keys)
+                if keys[m] < top_key:
                     continue
-                form = _canonical_columns(m + 1, child, keys)
-                if form not in seen:
-                    seen[form] = child
-        lighter = list(seen.values())
+                if keys.count(top_key) > 1:
+                    form = _canonical_columns(m + 1, child, keys)
+                    if form in seen:
+                        continue
+                    seen.add(form)
+                lighter.append(child)
         full = (1 << (m + 1)) - 1
         # complements on the raw rows: graphs.complement would build and
         # validate a Graph per class, ten times the cost at level 8

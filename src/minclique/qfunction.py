@@ -12,6 +12,10 @@ counting each partition once, in descending order.  Certificates achieve
 the interval's lower endpoint under optimistic costs and break ties by
 fewest parts, then lexicographically largest part vector.  A certificate
 whose value is not exact is flagged conditional.
+
+The table costs time at least quadratic in its size, so each entry point
+that a command line argument sizes has a limit (below), past which it
+raises a CapacityError naming it.
 """
 
 from __future__ import annotations
@@ -21,9 +25,20 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import inf
 
+from .errors import CapacityError
 from .intervals import IntInterval, interval_max, interval_sum
 from .ramsey import small_omega
 from .reports import FAIL, INDETERMINATE, PASS, CheckResult
+
+
+# The largest argument of each entry point a command sizes: `q k`,
+# `gap n` and `check theorem2 --kmax`.  Time grows like k^2 for q and the
+# three-parts check and like n^3 for the gap; at these limits the commands
+# answered in 5.7-8.3 s, 4.6-8.3 s and 5.6-6.9 s, in under 30 MB (2-CPU
+# x86-64 host, CPython 3.11).
+Q_KMAX = 6000
+GAP_NMAX = 1000
+THEOREM2_KMAX = 4000
 
 
 @lru_cache(maxsize=None)
@@ -99,6 +114,8 @@ def q(k: int) -> tuple[IntInterval, QCertificate]:
     """Minimum total block cost over all partitions of k; q(0) = 0."""
     if k < 0:
         raise ValueError(f"need k >= 0, got {k}")
+    if k > Q_KMAX:
+        raise CapacityError(f"q needs k <= {Q_KMAX} (Q_KMAX), got {k}")
     return _partition_minima(k, 0)(k, k)
 
 
@@ -133,6 +150,8 @@ def chromatic_gap(n: int) -> IntInterval:
     CLI's `gap` command chooses between the two."""
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
+    if n > GAP_NMAX:
+        raise CapacityError(f"the gap needs n <= {GAP_NMAX} (GAP_NMAX), got {n}")
     minimum = _partition_minima((n - 1) // 2, n // 3)
     candidates = [IntInterval.point(0)]  # k = 0: complete graph
     for k in range(1, (n - 1) // 2 + 1):
@@ -161,6 +180,9 @@ def check_three_parts_suffice(k_max: int) -> FewPartsReport:
     minimization to at most 3 parts loses nothing; k with interval values
     are reported as indeterminate.  Also records where 2 parts or a single
     part would not suffice (the lone single-part exception is k = 4)."""
+    if k_max > THEOREM2_KMAX:
+        raise CapacityError(f"the three-parts check needs k_max <= {THEOREM2_KMAX} "
+                            f"(THEOREM2_KMAX), got {k_max}")
     minimum = _partition_minima(k_max, 3)
     entries = []
     indeterminate = []

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from minclique import IntInterval, canonical_form, oracle, parse_graph6, serialize_graph6, solvers
+from minclique import IntInterval, canonical_form, oracle, parse_graph6, qfunction, serialize_graph6, solvers
 from minclique.cli import main
 from minclique.solvers import chromatic_number, clique_number, independence_number
 
@@ -147,6 +147,34 @@ def test_gap_command():
     # n picks the route; argparse reports the removed flag on main's err
     code, payload, err = run_cli("gap", "9", "--mode", "oracle")
     assert code == 2 and payload is None and "error" in err
+
+
+class _TableReached(Exception):
+    pass
+
+
+@pytest.mark.parametrize("argv, limit", [
+    (("q",), qfunction.Q_KMAX),
+    (("gap",), qfunction.GAP_NMAX),
+    (("check", "theorem2", "--kmax"), qfunction.THEOREM2_KMAX),
+], ids=["q", "gap", "theorem2"])
+def test_arithmetic_limits(monkeypatch, argv, limit):
+    # the partition table is stubbed out, so neither value runs the
+    # arithmetic: the limit is let through to the table, the next value is
+    # rejected before it
+    tables = []
+
+    def table(k_max, s_max):
+        tables.append(k_max)
+        raise _TableReached
+
+    monkeypatch.setattr(qfunction, "_partition_minima", table)
+    with pytest.raises(_TableReached):
+        run_cli(*argv, str(limit))
+    code, payload, err = run_cli(*argv, str(limit + 1))
+    assert code == 2 and payload is None
+    assert f"<= {limit} (" in err and err.endswith(f"got {limit + 1}\n")
+    assert len(tables) == 1
 
 
 def test_help_goes_to_out():

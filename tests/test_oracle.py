@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 import re
 from pathlib import Path
@@ -23,6 +24,8 @@ from minclique import (
 from minclique.graphs import bits
 from minclique.oracle import (
     KNOWN_CLASS_COUNTS,
+    _automorphisms,
+    _canonical_columns,
     _vertex_keys,
     export_q_table_csv,
     level_stats,
@@ -55,6 +58,73 @@ def test_capacity_error():
 def test_representatives_are_pairwise_nonisomorphic():
     forms = [canonical_form(g) for g in enumerate_graphs(7)]
     assert len(set(forms)) == len(forms) == 1044
+
+
+def _reference_levels(top):
+    """Levels 0..top by the rule with no orbit pruning and no shortcut: each
+    child of each parent that passes the degree test (as its definition)
+    and the edge budget, whose new vertex has the maximal key, gets a
+    canonical form, and the first child per form is kept."""
+    levels = [[()]]
+    for m in range(top):
+        total = (m + 1) * m // 2
+        first = {}
+        for rows in levels[-1]:
+            degs = [row.bit_count() for row in rows]
+            for mask in range(1 << m):
+                d = mask.bit_count()
+                if d > total // 2 - sum(degs) // 2 or any(
+                        d < degs[v] + (mask >> v & 1) for v in range(m)):
+                    continue
+                child = tuple(row | (mask >> v & 1) << m for v, row in enumerate(rows)) + (mask,)
+                keys = _vertex_keys(m + 1, child)
+                if keys[m] == max(keys):
+                    first.setdefault(_canonical_columns(m + 1, child, keys), child)
+        lighter = list(first.values())
+        full = (1 << m + 1) - 1
+        levels.append(lighter + [
+            tuple(full ^ row ^ 1 << v for v, row in enumerate(rows))
+            for rows in lighter if sum(row.bit_count() for row in rows) < total])
+    return levels
+
+
+def test_levels_equal_the_unpruned_reference_in_order():
+    count_graphs(7)
+    assert _reference_levels(7) == oracle._levels[:8]
+
+
+def test_level_8_canonicalises_only_tied_children(monkeypatch):
+    count_graphs(8)
+    expected = oracle._levels[8]
+    calls = []
+
+    def counted(n, adj, keys):
+        calls.append(n)
+        return _canonical_columns(n, adj, keys)
+
+    monkeypatch.setattr(oracle, "_levels", oracle._levels[:8])
+    monkeypatch.setattr(oracle, "_canonical_columns", counted)
+    count_graphs(8)
+    assert oracle._levels[8] == expected
+    assert len(calls) == 2091  # 13,754 with a form for every survivor
+
+
+def test_automorphism_groups_satisfy_the_orbit_count():
+    # each labelled graph on n vertices lies in the class of exactly one
+    # representative G, whose class holds n!/|Aut(G)| labelled graphs
+    for n in range(8):
+        labelled = 0
+        for g in enumerate_graphs(n):
+            group = _automorphisms(n, g.adj, _vertex_keys(n, g.adj))
+            assert len(set(group)) == len(group) and tuple(range(n)) in group
+            for image in group:
+                assert sorted(image) == list(range(n))
+                assert all(
+                    sum(1 << image[u] for u in bits(g.adj[v])) == g.adj[image[v]]
+                    for v in range(n))
+            assert math.factorial(n) % len(group) == 0
+            labelled += math.factorial(n) // len(group)
+        assert labelled == 2 ** (n * (n - 1) // 2)
 
 
 # OEIS A008406, row n = 8: the number of 8-vertex graphs with e edges,
