@@ -9,9 +9,9 @@ Commands:
     witness N K [--out F]   certified extremal graph for chi = N - K
     verify FILE [--props]   solve omega/chi/alpha/nu for a graph6 file
     check theorem1 [--nmax N] [--dump-csv F] [--dump-graph6 F]
+                            census: Q(n, n - k), class counts, the gap
     check theorem2 [--kmax K]
     check catalog
-    check gap [--nmax N]
     gap N                   largest chi - omega on N vertices
     compose F1 F2 [...]     merge two alpha <= 2 graphs
 
@@ -210,8 +210,6 @@ def _parse_vertex_list(text: str | None) -> tuple[int, ...] | None:
 
 
 def _check_theorem1(args) -> _Report:
-    if args.nmax < 0:
-        raise _InputError("theorem1 check needs --nmax >= 0")
     checks = list(oracle.verify_clique_formula(args.nmax))
     counts = [oracle.count_graphs(n) for n in range(args.nmax + 1)]
     results = {"pairs_checked": len(checks), "class_counts": counts}
@@ -220,6 +218,12 @@ def _check_theorem1(args) -> _Report:
         checks.append(CheckResult(
             f"count-n={n}", PASS if got == want else FAIL,
             f"{got} isomorphism classes enumerated, published count is {want}",
+        ))
+    for n in range(1, args.nmax + 1):
+        formula, brute = qfunction.chromatic_gap(n), oracle.brute_gap(n)
+        checks.append(CheckResult(
+            f"gap-n={n}", PASS if formula.exact and formula.lo == brute else FAIL,
+            f"arithmetic gap {formula} vs exhaustive {brute}",
         ))
     if args.dump_csv:
         _write_text(args.dump_csv, oracle.export_q_table_csv(args.nmax))
@@ -257,28 +261,6 @@ def _check_catalog(args) -> _Report:
     return "check catalog", {"target": "catalog"}, {"witnesses_verified": len(checks)}, checks
 
 
-def _check_gap(args) -> _Report:
-    if not 1 <= args.nmax <= oracle.MAX_ENUM_VERTICES:
-        raise _InputError("gap check is exhaustive; "
-                          f"supports 1 <= --nmax <= {oracle.MAX_ENUM_VERTICES}")
-    checks = []
-    for n in range(1, args.nmax + 1):
-        brute = oracle.brute_gap(n)
-        table = oracle.level_stats(n).min_clique_by_chi
-        by_q = max((c - q for c, q in table.items()), default=0)
-        checks.append(CheckResult(
-            f"identity-n={n}", PASS if brute == by_q else FAIL,
-            f"max chi - omega is {brute}; max over c of c - Q(n, c) is {by_q}",
-        ))
-        formula = qfunction.chromatic_gap(n)
-        ok = formula.exact and formula.lo == brute
-        checks.append(CheckResult(
-            f"formula-n={n}", PASS if ok else FAIL,
-            f"arithmetic gap {formula} vs exhaustive {brute}",
-        ))
-    return "check gap", {"target": "gap", "nmax": args.nmax}, {}, checks
-
-
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -306,7 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", help="run a verification suite")
     targets = p.add_subparsers(dest="target", required=True)
-    t = targets.add_parser("theorem1", help="exhaustive Q(n, n - k) census")
+    t = targets.add_parser("theorem1", help="exhaustive Q(n, n - k) census and gap")
     t.add_argument("--nmax", type=int, default=oracle.MAX_ENUM_VERTICES)
     t.add_argument("--dump-csv", help="write the (n, c, Q) table as CSV")
     t.add_argument("--dump-graph6", help="write enumerated graphs as graph6 lines")
@@ -316,9 +298,6 @@ def build_parser() -> argparse.ArgumentParser:
     t.set_defaults(func=_check_theorem2)
     t = targets.add_parser("catalog", help="re-verify each stored witness")
     t.set_defaults(func=_check_catalog)
-    t = targets.add_parser("gap", help="gap identities, exhaustively")
-    t.add_argument("--nmax", type=int, default=oracle.MAX_ENUM_VERTICES)
-    t.set_defaults(func=_check_gap)
 
     p = sub.add_parser("gap", help="largest chi - omega on n vertices")
     p.add_argument("n", type=int)

@@ -106,16 +106,12 @@ def _lex_first_clique(g: Graph, size: int) -> tuple[int, ...]:
     chosen: list[int] = []
     cand = (1 << g.n) - 1
     while len(chosen) < size:
-        for v in range(g.n):
-            if not cand >> v & 1:
-                continue
-            rest = cand & g.adj[v] & (~0 << (v + 1))
-            if solvers.clique_number(induced_subgraph(g, bits(rest))) >= size - len(chosen) - 1:
-                chosen.append(v)
-                cand = rest
-                break
-        else:
-            raise PreconditionError(f"graph has no clique of size {size}")
+        # some v fits: size is omega(g2) on g2, and on g1 only once omega1 >= omega2
+        need = size - len(chosen) - 1
+        v = next(v for v in bits(cand) if solvers.clique_number(
+            induced_subgraph(g, bits(cand & g.adj[v] & (~0 << (v + 1))))) >= need)
+        chosen.append(v)
+        cand &= g.adj[v] & (~0 << (v + 1))
     return tuple(chosen)
 
 

@@ -90,7 +90,7 @@ multipartite graph) down to one.
 
 On top of the enumeration: the table of minimum clique number by chromatic
 number, its verification against the arithmetic formula, and the largest
-chi - omega excess.
+chi - omega excess, read off that table.
 """
 
 from __future__ import annotations
@@ -311,26 +311,22 @@ def count_graphs(n: int) -> int:
 @dataclass(frozen=True)
 class LevelStats:
     """Per-vertex-count exhaustive results: for each achievable chromatic
-    number c, the least clique number and a graph attaining it, plus the
-    largest chi - omega over the level."""
+    number c, the least clique number and a graph attaining it."""
 
     min_clique_by_chi: dict[int, int]
     witness_by_chi: dict[int, Graph]
-    max_gap: int
 
 
 @functools.cache
 def level_stats(n: int) -> LevelStats:
     min_clique: dict[int, int] = {}
     witness: dict[int, Graph] = {}
-    max_gap = 0
     for g in enumerate_graphs(n):
         omega, chi = solvers.clique_and_chromatic_number(g)
-        max_gap = max(max_gap, chi - omega)
         if chi not in min_clique or omega < min_clique[chi]:
             min_clique[chi] = omega
             witness[chi] = g
-    return LevelStats(min_clique, witness, max_gap)
+    return LevelStats(min_clique, witness)
 
 
 def brute_Q(n: int, c: int) -> int | None:
@@ -343,16 +339,18 @@ def brute_Q(n: int, c: int) -> int | None:
 
 
 def brute_gap(n: int) -> int:
-    """Exact maximum of chi - omega over all n-vertex graphs."""
-    return level_stats(n).max_gap
+    """Exact maximum of chi - omega over all n-vertex graphs: the largest
+    c - Q(n, c), since Q(n, c) is the least omega at chi = c."""
+    return max(c - w for c, w in level_stats(n).min_clique_by_chi.items())
 
 
 def verify_clique_formula(n_max: int) -> tuple[CheckResult, ...]:
     """Exhaustively confirm, for every n <= n_max and every k with
     n >= 2k + 3, that the least clique number at chromatic number n - k
     equals n - 2k + q(k)."""
-    if n_max > MAX_ENUM_VERTICES:
-        raise CapacityError(f"oracle verification supports n <= {MAX_ENUM_VERTICES}")
+    if not 0 <= n_max <= MAX_ENUM_VERTICES:
+        raise CapacityError(
+            f"oracle verification supports 0 <= n_max <= {MAX_ENUM_VERTICES}, got {n_max}")
     entries = []
     for n in range(n_max + 1):
         for k in range((n - 3) // 2 + 1):

@@ -146,8 +146,8 @@ def chromatic_gap(n: int) -> IntInterval:
     built and verified only where the catalog holds every block (k <= 8
     with the built-in witnesses); beyond that the value rests on the
     formula.  On every n the exhaustive oracle reaches, the maximum
-    provably matches `oracle.brute_gap`; `check gap` confirms it, and the
-    CLI's `gap` command chooses between the two."""
+    provably matches `oracle.brute_gap`; `check theorem1` confirms it, and
+    the CLI's `gap` command chooses between the two."""
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     if n > GAP_NMAX:

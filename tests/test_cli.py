@@ -118,13 +118,12 @@ def test_check_theorem1_small(tmp_path):
     assert len({canonical_form(g) for g in parsed}) == 34
 
 
-def test_check_gap_small():
-    code, payload, _ = run_cli("check", "gap", "--nmax", "6")
+def test_check_theorem1_gap_rows():
+    code, payload, _ = run_cli("check", "theorem1", "--nmax", "6")
     assert code == 0
     assert all(c["status"] == "pass" for c in payload["checks"])
-    assert [c["name"] for c in payload["checks"]] == [
-        f"{kind}-n={n}" for n in range(1, 7) for kind in ("identity", "formula")
-    ]
+    gap_rows = [c["name"] for c in payload["checks"] if c["name"].startswith("gap-")]
+    assert gap_rows == [f"gap-n={n}" for n in range(1, 7)]
 
 
 def test_gap_command():
@@ -189,8 +188,8 @@ def test_help_goes_to_out():
     ("check", "theorem2", "--nmax", "3"),
     ("check", "theorem2", "--dump-graph6", "{f}"),
     ("check", "theorem1", "--kmax", "3"),
-    ("check", "gap", "--kmax", "3"),
-    ("check", "gap", "--dump-csv", "{f}"),
+    ("check", "gap"),  # the census reports the gap; the target is gone
+    ("check", "gap", "--nmax", "8"),
     ("gap", "5", "--mode", "formula"),
 ])
 def test_flag_a_command_does_not_read_is_usage_error(tmp_path, argv):
@@ -299,11 +298,9 @@ def test_bad_usage(tmp_path, c5):
     assert code == 2
     code, _, _ = run_cli("frobnicate", "1")
     assert code == 2
-    code, _, _ = run_cli("check", "gap", "--nmax", "12")
-    assert code == 2
-    # ranges that select no check are rejected, not passed vacuously
-    for argv in (("theorem1", "--nmax", "-1"), ("theorem2", "--kmax", "-3"),
-                 ("theorem2", "--kmax", "0"), ("gap", "--nmax", "-2"), ("gap", "--nmax", "0")):
+    # ranges that select no check, or more than the census holds, are rejected
+    for argv in (("theorem1", "--nmax", "-1"), ("theorem1", "--nmax", "9"),
+                 ("theorem2", "--kmax", "-3"), ("theorem2", "--kmax", "0")):
         code, payload, err = run_cli("check", *argv)
         assert code == 2 and payload is None and "error" in err
     code, _, _ = run_cli("check", "theorem2", "--jobs", "2")

@@ -181,14 +181,17 @@ def test_classes_match_networkx_atlas():
 def test_q_tables_match_networkx_atlas():
     nx = pytest.importorskip("networkx")
     tables: dict[int, dict[int, int]] = {}
+    gaps: dict[int, int] = {}
     for h in nx.graph_atlas_g():
         h = nx.convert_node_labels_to_integers(h)
         g = from_edges(h.number_of_nodes(), h.edges())
         chi, omega = brute.chromatic_number(g), brute.clique_number(g)
         table = tables.setdefault(g.n, {})
         table[chi] = min(table.get(chi, omega), omega)
+        gaps[g.n] = max(gaps.get(g.n, 0), chi - omega)
     for n in range(8):
         assert tables[n] == level_stats(n).min_clique_by_chi
+        assert gaps[n] == brute_gap(n), n
 
 
 def _swap_edges(rng, g):
@@ -327,11 +330,10 @@ def test_brute_q_range_errors():
 
 def test_gap_values_and_identity():
     expected = {0: 0, 1: 0, 2: 0, 3: 0, 4: 0, 5: 1, 6: 1, 7: 1, 8: 1}
+    # brute_gap is defined as max(c - Q(n, c)) over the table; the atlas test
+    # checks it against chi - omega of every graph on at most 7 vertices
     for n, gap in expected.items():
         assert brute_gap(n) == gap
-    for n in range(1, 9):
-        table = level_stats(n).min_clique_by_chi
-        assert brute_gap(n) == max(c - q for c, q in table.items())
 
 
 def test_formula_verification():
