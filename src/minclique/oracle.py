@@ -96,7 +96,6 @@ chi - omega excess, read off that table.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
 from .errors import CapacityError
 from .graphs import Graph
@@ -308,25 +307,16 @@ def count_graphs(n: int) -> int:
 # -- exhaustive statistics -----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LevelStats:
-    """Per-vertex-count exhaustive results: for each achievable chromatic
-    number c, the least clique number and a graph attaining it."""
-
-    min_clique_by_chi: dict[int, int]
-    witness_by_chi: dict[int, Graph]
-
-
 @functools.cache
-def level_stats(n: int) -> LevelStats:
+def level_stats(n: int) -> dict[int, int]:
+    """Per-vertex-count exhaustive table: for each achievable chromatic
+    number c, the least clique number over the n-vertex graphs with chi = c."""
     min_clique: dict[int, int] = {}
-    witness: dict[int, Graph] = {}
     for g in enumerate_graphs(n):
         omega, chi = solvers.clique_and_chromatic_number(g)
         if chi not in min_clique or omega < min_clique[chi]:
             min_clique[chi] = omega
-            witness[chi] = g
-    return LevelStats(min_clique, witness)
+    return min_clique
 
 
 def brute_Q(n: int, c: int) -> int | None:
@@ -335,13 +325,13 @@ def brute_Q(n: int, c: int) -> int | None:
     _level(n)
     if not 1 <= c <= max(n, 1):
         raise ValueError(f"need 1 <= c <= n, got c = {c}")
-    return level_stats(n).min_clique_by_chi.get(c)
+    return level_stats(n).get(c)
 
 
 def brute_gap(n: int) -> int:
     """Exact maximum of chi - omega over all n-vertex graphs: the largest
     c - Q(n, c), since Q(n, c) is the least omega at chi = c."""
-    return max(c - w for c, w in level_stats(n).min_clique_by_chi.items())
+    return max(c - w for c, w in level_stats(n).items())
 
 
 def verify_clique_formula(n_max: int) -> tuple[CheckResult, ...]:
@@ -365,13 +355,3 @@ def verify_clique_formula(n_max: int) -> tuple[CheckResult, ...]:
                 f"formula gives {n} - {2 * k} + {qk.lo} = {expected}",
             ))
     return tuple(entries)
-
-
-def export_q_table_csv(n_max: int) -> str:
-    """CSV dump of the exhaustive (n, c, min clique) table."""
-    lines = ["n,c,min_clique"]
-    for n in range(n_max + 1):
-        table = level_stats(n).min_clique_by_chi
-        for c in sorted(table):
-            lines.append(f"{n},{c},{table[c]}")
-    return "\n".join(lines) + "\n"

@@ -146,10 +146,11 @@ def chromatic_gap(n: int) -> IntInterval:
     built and verified only where the catalog holds every block (k <= 8
     with the built-in witnesses); beyond that the value rests on the
     formula.  On every n the exhaustive oracle reaches, the maximum
-    provably matches `oracle.brute_gap`; `check theorem1` confirms it, and
-    the CLI's `gap` command chooses between the two."""
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
+    provably matches `oracle.brute_gap`, and `check theorem1` confirms it;
+    the CLI's `gap` command answers from this function alone.  On n = 0 no
+    k >= 1 fits, so the gap is 0."""
+    if n < 0:
+        raise ValueError(f"need n >= 0, got {n}")
     if n > GAP_NMAX:
         raise CapacityError(f"the gap needs n <= {GAP_NMAX} (GAP_NMAX), got {n}")
     minimum = _partition_minima((n - 1) // 2, n // 3)

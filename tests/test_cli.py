@@ -101,15 +101,19 @@ def test_check_catalog():
 
 
 def test_check_theorem1_small(tmp_path):
-    csv_path = tmp_path / "table.csv"
     g6_path = tmp_path / "graphs.g6"
-    code, payload, _ = run_cli(
-        "check", "theorem1", "--nmax", "5",
-        "--dump-csv", str(csv_path), "--dump-graph6", str(g6_path),
-    )
+    code, payload, _ = run_cli("check", "theorem1", "--nmax", "5", "--dump-graph6", str(g6_path))
     assert code == 0
     assert payload["results"]["class_counts"] == [1, 1, 2, 4, 11, 34]
-    assert csv_path.read_text().startswith("n,c,min_clique")
+    # [n, c, Q(n, c)] by n, then c; Q(3, 2) = 2 (a path), Q(5, 3) = 2 (C5)
+    assert payload["results"]["q_table"] == [
+        [0, 0, 0],
+        [1, 1, 1],
+        [2, 1, 1], [2, 2, 2],
+        [3, 1, 1], [3, 2, 2], [3, 3, 3],
+        [4, 1, 1], [4, 2, 2], [4, 3, 3], [4, 4, 4],
+        [5, 1, 1], [5, 2, 2], [5, 3, 2], [5, 4, 4], [5, 5, 5],
+    ]
     lines = [l for l in g6_path.read_text().splitlines() if l]
     assert len(lines) == 34
     parsed = [parse_graph6(l) for l in lines]
@@ -128,22 +132,22 @@ def test_check_theorem1_gap_rows():
 
 def test_gap_command():
     code, payload, _ = run_cli("gap", "5")
-    assert code == 0 and payload["results"] == {"gap": [1, 1], "mode": "oracle"}
+    assert code == 0 and payload["results"] == {"gap": [1, 1]}
 
     code, payload, _ = run_cli("gap", "9")
-    assert code == 0 and payload["results"] == {"gap": [1, 1], "mode": "formula"}
+    assert code == 0 and payload["results"] == {"gap": [1, 1]}
 
     code, payload, _ = run_cli("gap", "6")
-    assert code == 0 and payload["results"]["mode"] == "oracle"
+    assert code == 0 and payload["results"] == {"gap": [1, 1]}
 
     code, payload, _ = run_cli("gap", "0")
-    assert code == 0 and payload["results"] == {"gap": [0, 0], "mode": "oracle"}
+    assert code == 0 and payload["results"] == {"gap": [0, 0]}
 
-    # rejected by gap itself, not by the oracle's enumeration range
+    # rejected by chromatic_gap itself
     code, payload, err = run_cli("gap", "-3")
-    assert code == 2 and payload is None and err == "error: gap needs n >= 0\n"
+    assert code == 2 and payload is None and err == "error: need n >= 0, got -3\n"
 
-    # n picks the route; argparse reports the removed flag on main's err
+    # argparse reports the removed flag on main's err
     code, payload, err = run_cli("gap", "9", "--mode", "oracle")
     assert code == 2 and payload is None and "error" in err
 
@@ -184,7 +188,7 @@ def test_help_goes_to_out():
 
 @pytest.mark.parametrize("argv", [
     ("check", "catalog", "--nmax", "3"),
-    ("check", "catalog", "--dump-csv", "{f}"),
+    ("check", "theorem1", "--dump-csv", "{f}"),  # the table is in the report
     ("check", "theorem2", "--nmax", "3"),
     ("check", "theorem2", "--dump-graph6", "{f}"),
     ("check", "theorem1", "--kmax", "3"),
@@ -259,7 +263,6 @@ def test_parser_is_built_once(monkeypatch):
 @pytest.mark.parametrize("argv", [
     ("witness", "7", "2", "--out"),
     ("compose", "{c5}", "{c5}", "--out"),
-    ("check", "theorem1", "--nmax", "3", "--dump-csv"),
     ("check", "theorem1", "--nmax", "3", "--dump-graph6"),
 ])
 def test_unwritable_output_path_is_input_error(tmp_path, c5, argv):

@@ -23,10 +23,10 @@ from minclique import (
     q_value,
     serialize_graph6,
 )
-from minclique import matching, solvers
+from minclique import matching, oracle, solvers
 from minclique.cli import main
 from minclique.constructions import ComposeInput, _lex_first_clique, eq4_upper_bound
-from minclique.oracle import MAX_ENUM_VERTICES, brute_gap, enumerate_graphs
+from minclique.oracle import brute_gap, enumerate_graphs
 from minclique.ramsey import default_catalog
 
 from brute import edges, from_edges
@@ -261,18 +261,21 @@ def test_gap_formula():
     assert chromatic_gap(49) == IntInterval(13, 15)
 
 
-def test_gap_auto_mode():
-    # chromatic_gap is formula-only; `gap` without --mode picks the oracle up
-    # to the enumeration cap and the formula beyond it
-    def auto_gap(n):
+def test_gap_command_needs_no_census(monkeypatch):
+    # `gap` answers from the formula alone, also where the census reaches
+    def unreachable(*args):
+        raise AssertionError("the gap command reached the census")
+
+    for name in ("brute_gap", "level_stats", "enumerate_graphs"):
+        monkeypatch.setattr(oracle, name, unreachable)
+
+    def gap(n):
         out = io.StringIO()
         assert main(["gap", str(n)], out=out, err=io.StringIO()) == 0
         return json.loads(out.getvalue())["results"]
 
-    assert 7 <= MAX_ENUM_VERTICES < 9
-    assert auto_gap(7) == {"gap": [brute_gap(7)] * 2, "mode": "oracle"}
-    formula = chromatic_gap(9)
-    assert auto_gap(9) == {"gap": [formula.lo, formula.hi], "mode": "formula"}
+    for n, g in enumerate((0, 0, 0, 0, 0, 1, 1, 1, 1)):
+        assert gap(n) == {"gap": [g, g]}, n
 
 
 def test_gap_formula_is_monotone():

@@ -27,7 +27,6 @@ from minclique.oracle import (
     _automorphisms,
     _canonical_columns,
     _vertex_keys,
-    export_q_table_csv,
     level_stats,
     verify_clique_formula,
 )
@@ -190,7 +189,7 @@ def test_q_tables_match_networkx_atlas():
         table[chi] = min(table.get(chi, omega), omega)
         gaps[g.n] = max(gaps.get(g.n, 0), chi - omega)
     for n in range(8):
-        assert tables[n] == level_stats(n).min_clique_by_chi
+        assert tables[n] == level_stats(n)
         assert gaps[n] == brute_gap(n), n
 
 
@@ -310,15 +309,6 @@ def test_brute_q_exact_small_rows():
         assert brute_Q(n, n - 2) <= n - 3
 
 
-def test_brute_q_attained_by_witness():
-    for n in range(1, 8):
-        stats = level_stats(n)
-        for c, omega in stats.min_clique_by_chi.items():
-            g = stats.witness_by_chi[c]
-            assert chromatic_number(g) == c
-            assert clique_number(g) == omega
-
-
 def test_brute_q_range_errors():
     with pytest.raises(ValueError):
         brute_Q(5, 0)
@@ -354,14 +344,6 @@ def test_enumeration_agrees_with_brute_on_level_4():
     for g in enumerate_graphs(4):
         assert chromatic_number(g) == brute.chromatic_number(g)
         assert clique_number(g) == brute.clique_number(g)
-
-
-def test_csv_export():
-    text = export_q_table_csv(4)
-    lines = text.strip().splitlines()
-    assert lines[0] == "n,c,min_clique"
-    assert "4,4,4" in lines
-    assert "3,2,2" in lines
 
 
 def test_vertex_keys_match_definition():

@@ -35,7 +35,7 @@ from minclique.oracle import verify_clique_formula
     (lambda: join([complete_graph(40), complete_graph(40)]), CapacityError),
     (lambda: q_bounded_s(0, 1), ValueError),
     (lambda: q_bounded_s(3, 0), ValueError),
-    (lambda: chromatic_gap(0), ValueError),
+    (lambda: chromatic_gap(-1), ValueError),
     (lambda: IntInterval(2, 1), ValueError),
     (lambda: interval_max(), ValueError),
     (lambda: verify_clique_formula(9), CapacityError),
