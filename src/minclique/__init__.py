@@ -40,7 +40,7 @@ from .matching import (
     max_matching,
     verify_complement_partition,
 )
-from .oracle import brute_Q, brute_gap, canonical_form, count_graphs, enumerate_graphs
+from .oracle import brute_gap, canonical_form, count_graphs, enumerate_graphs
 from .qfunction import QCertificate, chromatic_gap, q, q_bounded_s, q_value
 from .ramsey import WitnessCatalog, default_catalog, r3, small_omega
 from .solvers import (

@@ -9,8 +9,9 @@ Commands:
     witness N K [--out F]   certified extremal graph for chi = N - K
     verify FILE [--props]   solve omega/chi/alpha/nu for a graph6 file
     check theorem1 [--nmax N] [--dump-graph6 F]
-                            census: the Q(n, c) table, Q(n, n - k) against
-                            the formula, class counts, the gap
+                            census of every n <= N <= 8, from the oracle's
+                            level tables: the Q(n, c) table, Q(n, n - k)
+                            against the formula, class counts, the gap
     check theorem2 [--kmax K]
     check catalog
     gap N                   largest chi - omega on N vertices, by the formula
@@ -200,26 +201,35 @@ def _parse_vertex_list(text: str | None) -> tuple[int, ...] | None:
 
 
 def _check_theorem1(args) -> _Report:
-    checks = list(oracle.verify_clique_formula(args.nmax))
-    counts = [oracle.count_graphs(n) for n in range(args.nmax + 1)]
-    results = {
-        "pairs_checked": len(checks),
-        "class_counts": counts,
-        "q_table": [[n, c, w] for n in range(args.nmax + 1)
-                    for c, w in sorted(oracle.level_stats(n).items())],
-    }
-    for n, got in enumerate(counts):
-        want = oracle.KNOWN_CLASS_COUNTS[n]
-        checks.append(CheckResult(
+    """Every census row from one pass over n <= --nmax: Q(n, n - k) against
+    n - 2k + q(k) for each k with n >= 2k + 3, the class count, the gap."""
+    oracle.count_graphs(args.nmax)  # the enumeration cap, checked before any work
+    formula_rows, count_rows, gap_rows, counts, q_table = [], [], [], [], []
+    for n in range(args.nmax + 1):
+        stats = oracle.level_stats(n)
+        q_table += ([n, c, w] for c, w in sorted(stats.items()))
+        for k in range((n - 3) // 2 + 1):
+            qk = qfunction.q_value(k)
+            expected, actual = n - 2 * k + qk.lo, stats.get(n - k)
+            formula_rows.append(CheckResult(
+                f"n={n},k={k}", PASS if qk.exact and actual == expected else FAIL,
+                f"min clique at chi = {n - k} on {n} vertices is {actual}, "
+                f"formula gives {n} - {2 * k} + {qk.lo} = {expected}",
+            ))
+        got, want = oracle.count_graphs(n), oracle.KNOWN_CLASS_COUNTS[n]
+        counts.append(got)
+        count_rows.append(CheckResult(
             f"count-n={n}", PASS if got == want else FAIL,
             f"{got} isomorphism classes enumerated, published count is {want}",
         ))
-    for n in range(1, args.nmax + 1):
-        formula, brute = qfunction.chromatic_gap(n), oracle.brute_gap(n)
-        checks.append(CheckResult(
-            f"gap-n={n}", PASS if formula.exact and formula.lo == brute else FAIL,
-            f"arithmetic gap {formula} vs exhaustive {brute}",
-        ))
+        if n:
+            formula, brute = qfunction.chromatic_gap(n), oracle.brute_gap(n)
+            gap_rows.append(CheckResult(
+                f"gap-n={n}", PASS if formula.exact and formula.lo == brute else FAIL,
+                f"arithmetic gap {formula} vs exhaustive {brute}",
+            ))
+    results = {"pairs_checked": len(formula_rows), "class_counts": counts, "q_table": q_table}
+    checks = formula_rows + count_rows + gap_rows
     if args.dump_graph6:
         _write_text(args.dump_graph6, "".join(
             serialize_graph6(g) + "\n" for g in oracle.enumerate_graphs(args.nmax)))
@@ -243,7 +253,7 @@ def _check_catalog(args) -> _Report:
     for size in catalog.base_sizes():
         if size < 5:
             continue  # the 2-vertex base is trivial plumbing
-        g = catalog.witness_alpha2(size)
+        g = catalog.witness_alpha2(size)[0]
         omega, alpha = solvers.clique_number(g), solvers.independence_number(g)
         want = small_omega(size).lo
         checks.append(CheckResult(

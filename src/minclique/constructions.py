@@ -170,7 +170,7 @@ def build_extremal(n: int, k: int) -> ExtremalWitness:
         )
     catalog = default_catalog()
     # each catalog block on x vertices: alpha <= 2, omega small_omega(x), chi certified
-    parts = [catalog.block(2 * part + 1) for part in cert.parts]
+    parts = [catalog.witness_alpha2(2 * part + 1) for part in cert.parts]
     extra = n - sum(block.n for block, _, _ in parts)
     if extra:
         parts.append((complete_graph(extra), extra, extra))

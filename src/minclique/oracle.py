@@ -89,8 +89,8 @@ of t interchangeable vertices (isolated vertices, the parts of a complete
 multipartite graph) down to one.
 
 On top of the enumeration: the table of minimum clique number by chromatic
-number, its verification against the arithmetic formula, and the largest
-chi - omega excess, read off that table.
+number and the largest chi - omega excess, read off that table.  The
+formula is checked against both by `check theorem1` (`cli._check_theorem1`).
 """
 
 from __future__ import annotations
@@ -99,8 +99,6 @@ import functools
 
 from .errors import CapacityError
 from .graphs import Graph
-from .qfunction import q
-from .reports import FAIL, PASS, CheckResult
 from . import solvers
 
 MAX_ENUM_VERTICES = 8
@@ -194,6 +192,7 @@ def _canonical_columns(n: int, adj, keys: list[tuple]) -> tuple[int, ...]:
             cols.pop()
 
     extend([], [], 0, set())
+    extend = None  # the closure refers to itself: free it without the cyclic gc
     assert best is not None
     return tuple(best[1:])  # drop the empty column of position 0
 
@@ -225,6 +224,7 @@ def _automorphisms(n: int, adj, keys: list[tuple]) -> list[tuple[int, ...]]:
                 extend(v + 1, used | 1 << w)
 
     extend(0, 0)
+    extend = None  # as in _canonical_columns
     return group
 
 
@@ -310,7 +310,8 @@ def count_graphs(n: int) -> int:
 @functools.cache
 def level_stats(n: int) -> dict[int, int]:
     """Per-vertex-count exhaustive table: for each achievable chromatic
-    number c, the least clique number over the n-vertex graphs with chi = c."""
+    number c, the least clique number over the n-vertex graphs with chi = c,
+    so `level_stats(n).get(c)` is Q(n, c), or None where no graph has it."""
     min_clique: dict[int, int] = {}
     for g in enumerate_graphs(n):
         omega, chi = solvers.clique_and_chromatic_number(g)
@@ -319,39 +320,8 @@ def level_stats(n: int) -> dict[int, int]:
     return min_clique
 
 
-def brute_Q(n: int, c: int) -> int | None:
-    """Least clique number over all n-vertex graphs with chromatic number
-    exactly c; None if no such graph exists."""
-    _level(n)
-    if not 1 <= c <= max(n, 1):
-        raise ValueError(f"need 1 <= c <= n, got c = {c}")
-    return level_stats(n).get(c)
-
-
 def brute_gap(n: int) -> int:
     """Exact maximum of chi - omega over all n-vertex graphs: the largest
     c - Q(n, c), since Q(n, c) is the least omega at chi = c."""
     return max(c - w for c, w in level_stats(n).items())
 
-
-def verify_clique_formula(n_max: int) -> tuple[CheckResult, ...]:
-    """Exhaustively confirm, for every n <= n_max and every k with
-    n >= 2k + 3, that the least clique number at chromatic number n - k
-    equals n - 2k + q(k)."""
-    if not 0 <= n_max <= MAX_ENUM_VERTICES:
-        raise CapacityError(
-            f"oracle verification supports 0 <= n_max <= {MAX_ENUM_VERTICES}, got {n_max}")
-    entries = []
-    for n in range(n_max + 1):
-        for k in range((n - 3) // 2 + 1):
-            qk = q(k)[0]
-            assert qk.exact, "q is exact throughout the oracle range"
-            expected = n - 2 * k + qk.lo
-            actual = brute_Q(n, n - k)
-            ok = actual == expected
-            entries.append(CheckResult(
-                f"n={n},k={k}", PASS if ok else FAIL,
-                f"min clique at chi = {n - k} on {n} vertices is {actual}, "
-                f"formula gives {n} - {2 * k} + {qk.lo} = {expected}",
-            ))
-    return tuple(entries)

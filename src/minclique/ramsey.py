@@ -148,9 +148,11 @@ class WitnessCatalog:
     def base_sizes(self) -> tuple[int, ...]:
         return tuple(sorted(self._bases))
 
-    def witness_alpha2(self, x: int) -> Graph:
+    def witness_alpha2(self, x: int) -> tuple[Graph, int, int]:
         """A verified x-vertex graph with independence number <= 2 and the
-        least possible clique number small_omega(x).
+        least possible clique number small_omega(x), as the part
+        (graph, clique number, chromatic number) that `certified_join`
+        takes; all three are found when the size is first served.
 
         Stored witnesses were verified at admission and are returned as-is.
         Otherwise the graph is derived: by joining dominating vertices onto a smaller base (each
@@ -163,12 +165,6 @@ class WitnessCatalog:
         `verify_alpha2`.  Sizes are bounded only by small_omega(x) being
         exact (x <= 39) and by the stored bases.
         """
-        return self.block(x)[0]
-
-    def block(self, x: int) -> tuple[Graph, int, int]:
-        """`witness_alpha2(x)` as a part for `certified_join`: the graph,
-        its clique number small_omega(x) and its chromatic number, all
-        found when the size is first served."""
         if x not in self._witness_cache:
             if x < 1:
                 raise UnsupportedWitnessError(f"need x >= 1, got {x}")
@@ -196,7 +192,8 @@ class WitnessCatalog:
         elif candidates:
             base = max(candidates)
             dominating = complete_graph(x - base)
-            return certified_join([self.block(base), (dominating, x - base, x - base)], w, source)
+            return certified_join([self.witness_alpha2(base), (dominating, x - base, x - base)],
+                                  w, source)
         else:
             # induced subgraph of a bigger witness with the same clique number
             candidates = [size for size in self._bases if size > x and small_omega(size).lo == w]

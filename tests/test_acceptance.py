@@ -11,7 +11,6 @@ import time
 
 from minclique import (
     IntInterval,
-    brute_Q,
     brute_gap,
     build_extremal,
     chromatic_gap,
@@ -28,7 +27,7 @@ from minclique import (
     q_value,
 )
 from minclique.constructions import ComposeInput
-from minclique.oracle import KNOWN_CLASS_COUNTS
+from minclique.oracle import KNOWN_CLASS_COUNTS, level_stats
 from minclique.qfunction import check_three_parts_suffice
 
 import brute
@@ -64,7 +63,7 @@ def test_criterion_02_formula_at_desk_scale():
         for k in range((n - 3) // 2 + 1):
             qk = q_value(k)
             assert qk.exact
-            assert brute_Q(n, n - k) == n - 2 * k + qk.lo, (n, k)
+            assert level_stats(n).get(n - k) == n - 2 * k + qk.lo, (n, k)
             pairs.append((n, k))
     elapsed = time.perf_counter() - t0
     assert elapsed < 600.0
@@ -97,7 +96,7 @@ def test_criterion_04_catalog_certification(catalog):
     t0 = time.perf_counter()
     expected = {5: 2, 8: 3, 13: 4, 17: 5}
     for size, omega in expected.items():
-        g = catalog.witness_alpha2(size)
+        g, _, _ = catalog.witness_alpha2(size)
         assert g.n == size
         assert independence_number(g) <= 2, size
         assert clique_number(g) == omega, size
@@ -114,7 +113,7 @@ def test_criterion_05_composition(catalog, c5):
     assert independence_number(h1) <= 2
     assert h1.n <= 13  # R(3, 2 + 2 + 1) - 1
 
-    w8 = catalog.witness_alpha2(8)
+    w8, _, _ = catalog.witness_alpha2(8)
     h2, _ = compose_alpha2(ComposeInput.build(w8, c5))
     assert h2.n == 15
     assert clique_number(h2) == 5
@@ -144,7 +143,7 @@ def test_criterion_06_matching_oracle_equivalence():
 
 def test_criterion_07_chromatic_identity(catalog):
     for size in (5, 8, 13, 17):
-        g = catalog.witness_alpha2(size)
+        g, _, _ = catalog.witness_alpha2(size)
         assert chromatic_number(g) + matching_number(complement(g)) == g.n, size
     rng = random.Random(1729)
     for _ in range(500):

@@ -130,6 +130,35 @@ def test_check_theorem1_gap_rows():
     assert gap_rows == [f"gap-n={n}" for n in range(1, 7)]
 
 
+def test_check_theorem1_rows_pinned():
+    # the row names and the " is X, formula gives " text are what
+    # perfbench/references.py parses on the census workload
+    code, payload, _ = run_cli("check", "theorem1", "--nmax", "5")
+    assert code == 0
+    formula = [
+        (3, 0, 3, 3, 0), (4, 0, 4, 4, 0), (5, 0, 5, 5, 0), (5, 1, 4, 4, 1),
+    ]  # n, k, chi, Q(n, chi), q(k)
+    assert [(c["name"], c["status"], c["condition"]) for c in payload["checks"]] == [
+        (f"n={n},k={k}", "pass", f"min clique at chi = {chi} on {n} vertices is {w}, "
+                                 f"formula gives {n} - {2 * k} + {qk} = {w}")
+        for n, k, chi, w, qk in formula
+    ] + [
+        (f"count-n={n}", "pass",
+         f"{c} isomorphism classes enumerated, published count is {c}")
+        for n, c in enumerate([1, 1, 2, 4, 11, 34])
+    ] + [
+        (f"gap-n={n}", "pass", f"arithmetic gap {g} vs exhaustive {g}")
+        for n, g in enumerate([0, 0, 0, 0, 1], 1)
+    ]
+    code, payload, _ = run_cli("check", "theorem1", "--nmax", "8")
+    assert code == 0
+    assert payload["results"]["pairs_checked"] == 12
+    assert len(payload["checks"]) == 29
+    assert [c["name"] for c in payload["checks"] if c["name"].startswith("n=")] == [
+        f"n={n},k={k}" for n in range(3, 9) for k in range((n - 3) // 2 + 1)
+    ]
+
+
 def test_gap_command():
     code, payload, _ = run_cli("gap", "5")
     assert code == 0 and payload["results"] == {"gap": [1, 1]}

@@ -46,7 +46,7 @@ def test_compose_c5_c5(c5):
 
 
 def test_compose_w8_c5(c5, catalog):
-    w8 = catalog.witness_alpha2(8)
+    w8, _, _ = catalog.witness_alpha2(8)
     inp = ComposeInput.build(w8, c5)
     assert (inp.clique1, inp.clique2) == ((0, 2), (0, 1))
     h, alpha = compose_alpha2(inp)
@@ -109,7 +109,7 @@ def test_compose_matches_docstring_rules(catalog):
 
     def alpha2_graph():
         if rng.random() < 0.3:
-            return catalog.witness_alpha2(rng.randint(1, 17))
+            return catalog.witness_alpha2(rng.randint(1, 17))[0]
         return complement(random_triangle_free(rng, rng.randint(1, 12)))
 
     def some_clique(g, size):
@@ -225,7 +225,7 @@ def test_build_extremal_join_identity(catalog):
     # count and the block clique numbers
     for n, k in [(9, 3), (11, 4)]:
         w = build_extremal(n, k)
-        blocks = [catalog.witness_alpha2(2 * p + 1) for p in w.certificate.parts]
+        blocks = [catalog.witness_alpha2(2 * p + 1)[0] for p in w.certificate.parts]
         expected = n - sum(b.n for b in blocks) + sum(clique_number(b) for b in blocks)
         assert w.omega == expected
 

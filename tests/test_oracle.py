@@ -1,4 +1,6 @@
+import io
 import itertools
+import json
 import math
 import random
 import re
@@ -8,7 +10,6 @@ import pytest
 
 from minclique import (
     CapacityError,
-    brute_Q,
     brute_gap,
     canonical_form,
     chromatic_number,
@@ -28,8 +29,8 @@ from minclique.oracle import (
     _canonical_columns,
     _vertex_keys,
     level_stats,
-    verify_clique_formula,
 )
+from minclique.cli import main
 
 import brute
 from brute import edges, from_edges, relabel
@@ -295,27 +296,27 @@ def test_canonical_form_separates():
 
 
 def test_brute_q_examples():
-    assert brute_Q(5, 5) == 5
-    assert brute_Q(6, 5) == 5
-    assert brute_Q(7, 5) == 4
-    assert brute_Q(5, 3) == 2
+    # Q(n, c) is level_stats(n).get(c)
+    assert level_stats(5).get(5) == 5
+    assert level_stats(6).get(5) == 5
+    assert level_stats(7).get(5) == 4
+    assert level_stats(5).get(3) == 2
 
 
 def test_brute_q_exact_small_rows():
     for n in range(2, 9):
-        assert brute_Q(n, n) == n
-        assert brute_Q(n, n - 1) == n - 1
+        assert level_stats(n).get(n) == n
+        assert level_stats(n).get(n - 1) == n - 1
     for n in range(5, 9):
-        assert brute_Q(n, n - 2) <= n - 3
+        assert level_stats(n).get(n - 2) <= n - 3
 
 
 def test_brute_q_range_errors():
-    with pytest.raises(ValueError):
-        brute_Q(5, 0)
-    with pytest.raises(ValueError):
-        brute_Q(5, 6)
-    with pytest.raises(CapacityError):
-        brute_Q(9, 3)
+    # no graph has chi = 0 or chi > n; the census stops at 8 vertices
+    assert level_stats(5).get(0) is None and level_stats(5).get(6) is None
+    for n in (-1, 9):
+        with pytest.raises(CapacityError):
+            level_stats(n)
 
 
 def test_gap_values_and_identity():
@@ -326,17 +327,23 @@ def test_gap_values_and_identity():
         assert brute_gap(n) == gap
 
 
+def _theorem1_formula_rows(nmax):
+    out, err = io.StringIO(), io.StringIO()
+    assert main(["check", "theorem1", "--nmax", str(nmax)], out=out, err=err) == 0, err.getvalue()
+    return [c for c in json.loads(out.getvalue())["checks"] if c["name"].startswith("n=")]
+
+
 def test_formula_verification():
-    entries = verify_clique_formula(8)
-    assert all(e.passed for e in entries)
-    names = {e.name for e in entries}
+    rows = _theorem1_formula_rows(8)
+    assert all(c["status"] == "pass" for c in rows)
+    names = {c["name"] for c in rows}
     assert names == {
         f"n={n},k={k}" for n in range(9) for k in range((n - 3) // 2 + 1)
     }
     assert "n=7,k=2" in names
 
-    (small,) = verify_clique_formula(3)
-    assert small.passed and small.name == "n=3,k=0"
+    (small,) = _theorem1_formula_rows(3)
+    assert small["status"] == "pass" and small["name"] == "n=3,k=0"
 
 
 def test_enumeration_agrees_with_brute_on_level_4():

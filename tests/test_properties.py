@@ -102,7 +102,7 @@ def test_interval_sum_and_max_act_endpointwise(items):
 def alpha2_graphs(draw):
     """A catalog witness, or the complement of a random triangle-free graph."""
     if draw(st.booleans()):
-        return CATALOG.witness_alpha2(draw(st.integers(1, 18)))
+        return CATALOG.witness_alpha2(draw(st.integers(1, 18)))[0]
     n = draw(st.integers(1, 12))
     rows = [0] * n
     for u in range(n):

@@ -1,9 +1,11 @@
+import io
 import sys
 import time
 
 import pytest
 
 from minclique import IntInterval, chromatic_gap, q, q_bounded_s, q_value, qfunction
+from minclique.cli import main
 from minclique.qfunction import FewPartsReport, block_cost, check_three_parts_suffice
 from minclique.reports import FAIL, PASS, CheckResult
 
@@ -172,6 +174,23 @@ def test_three_parts_report_from_small_tables():
             tuple(k for k in ks if q_bounded_s(k, 2)[0] != q_value(k)),
             tuple(k for k in ks if block_cost(k) != q_value(k)),
         ), k_max
+
+
+def test_three_parts_report_failures(monkeypatch):
+    # planted costs: part 1 is free and every other part costs 10, so only
+    # all-ones partitions are cheap; three parts lose from k = 4, two from
+    # k = 3 and a single part from k = 2
+    monkeypatch.setattr(qfunction, "block_cost", lambda p: IntInterval.point(0 if p == 1 else 10))
+    report = check_three_parts_suffice(5)
+    assert [(e.name, e.status) for e in report.entries] == [
+        ("k=1", PASS), ("k=2", PASS), ("k=3", PASS), ("k=4", FAIL), ("k=5", FAIL),
+    ]
+    assert report.entries[3].condition == "min over <= 3 parts is 10, unrestricted is 0"
+    assert report.two_part_exceptions == (3, 4, 5)
+    assert report.single_block_exceptions == (2, 3, 4, 5)
+    out, err = io.StringIO(), io.StringIO()
+    assert main(["check", "theorem2", "--kmax", "5"], out=out, err=err) == 1
+    assert "FAIL k=4" in err.getvalue()
 
 
 def test_q_runtime():

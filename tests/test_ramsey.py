@@ -72,7 +72,7 @@ def test_small_omega_monotone():
 def test_catalog_verifies_builtins(catalog):
     expected = {5: 2, 8: 3, 13: 4, 17: 5}
     for size, omega in expected.items():
-        g = catalog.witness_alpha2(size)
+        g, _, _ = catalog.witness_alpha2(size)
         assert g.n == size
         assert clique_number(g) == omega
         assert independence_number(g) <= 2
@@ -82,26 +82,26 @@ def test_witnesses_against_subset_enumeration(catalog):
     import brute
 
     for size in (5, 8, 13):
-        g = catalog.witness_alpha2(size)
+        g, _, _ = catalog.witness_alpha2(size)
         assert brute.clique_number(g) == small_omega(size).lo
         assert brute.independence_number(g) == 2
 
 
 def test_witness_properties_whole_range(catalog):
     for x in range(1, 19):
-        g = catalog.witness_alpha2(x)
+        g, omega, chi = catalog.witness_alpha2(x)
         assert g.n == x
-        assert clique_number(g) == small_omega(x).lo
-        assert independence_number(g) <= 2
         # the facts each block brings to a join, re-solved by search
-        assert catalog.block(x) == (g, small_omega(x).lo, chromatic_number(g)), x
+        assert clique_number(g) == omega == small_omega(x).lo, x
+        assert chromatic_number(g) == chi, x
+        assert independence_number(g) <= 2
 
 
 def test_witness_examples(catalog, c5):
-    assert catalog.witness_alpha2(5) == c5
-    w13 = catalog.witness_alpha2(13)
+    assert catalog.witness_alpha2(5)[0] == c5
+    w13, _, _ = catalog.witness_alpha2(13)
     assert w13 == complement(circulant(13, {1, 5}))
-    w6 = catalog.witness_alpha2(6)
+    w6, _, _ = catalog.witness_alpha2(6)
     assert clique_number(w6) == 3
     # built by joining one dominating vertex onto the 5-vertex witness
     assert w6.adj[5].bit_count() == 5
@@ -122,8 +122,8 @@ def test_external_35_vertex_base_serves_36():
     loaded = WitnessCatalog()
     loaded._admit(w35, "C35 complement")
     assert 35 in loaded.base_sizes()
-    assert loaded.witness_alpha2(35) == w35  # served as stored
-    g = loaded.witness_alpha2(36)  # one dominating vertex on the 35-vertex base
+    assert loaded.witness_alpha2(35)[0] == w35  # served as stored
+    g, _, _ = loaded.witness_alpha2(36)  # one dominating vertex on the 35-vertex base
     assert g.n == 36
     assert clique_number(g) == 9 == small_omega(36).lo
     assert independence_number(g) == 2
@@ -139,7 +139,7 @@ def test_external_witness_rejection(c5):
         with pytest.raises(ValueError, match=reason):
             loaded._admit(graph, "candidate")
     assert loaded.base_sizes() == WitnessCatalog().base_sizes()
-    assert loaded.witness_alpha2(5) == c5  # the built-in base was not replaced
+    assert loaded.witness_alpha2(5)[0] == c5  # the built-in base was not replaced
 
 
 def test_verify_alpha2(c5):

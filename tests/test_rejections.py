@@ -23,7 +23,7 @@ from minclique import (
 )
 from minclique.cli import main
 from minclique.intervals import interval_max
-from minclique.oracle import verify_clique_formula
+from minclique.oracle import count_graphs
 
 
 @pytest.mark.parametrize("call, error", [
@@ -38,7 +38,7 @@ from minclique.oracle import verify_clique_formula
     (lambda: chromatic_gap(-1), ValueError),
     (lambda: IntInterval(2, 1), ValueError),
     (lambda: interval_max(), ValueError),
-    (lambda: verify_clique_formula(9), CapacityError),
+    (lambda: count_graphs(9), CapacityError),
     (lambda: compose_alpha2(ComposeInput.build(complete_graph(40), complete_graph(30))),
      CapacityError),
     (lambda: ComposeInput.build(circulant(5, {1}), circulant(5, {1}), (0, 7)), InvalidVertexError),
