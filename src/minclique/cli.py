@@ -61,8 +61,7 @@ def _emit(command: str, inputs: dict, results: dict, checks: list[CheckResult],
         "checks": [c.as_dict() for c in checks],
         "timing_ms": int((time.perf_counter() - started) * 1000),
     }
-    json.dump(report, out, indent=2)
-    out.write("\n")
+    out.write(json.dumps(report, indent=2) + "\n")
     failed = [c for c in checks if c.status == FAIL]
     open_ = [c for c in checks if c.status == INDETERMINATE]
     if checks:

@@ -20,6 +20,7 @@ Python-level bit tests.
 
 from __future__ import annotations
 
+import binascii
 import re
 import sys
 from dataclasses import dataclass
@@ -189,12 +190,27 @@ def circulant(n: int, connections: Iterable[int]) -> Graph:
 # graph6: 6-bit big-endian encoding of the upper triangle in column order.
 # Header is chr(n + 63) for n <= 62, else '~' followed by n as three 6-bit
 # groups.  Bytes are printable ASCII 63..126.
+#
+# The body is base64 in another alphabet: both cut one big-endian bit
+# stream into 6-bit groups, and graph6 writes group v as chr(63 + v) where
+# base64 writes the v-th letter of A-Z a-z 0-9 + /.  So the serializer packs
+# the stream into one int with stream bit 0 as its top bit, left-aligned in
+# whole 3-byte blocks (base64 then emits no '=' padding), encodes it with
+# binascii and maps the alphabet with one bytes.translate.  The shift that
+# aligns the stream fills the tail with zeros, so graph6's padding bits need
+# no handling of their own; the characters past ceil(nbits / 6) encode only
+# that fill and are cut off.  binascii, not base64: the latter is a Python
+# wrapper around it whose import would add to start-up.
 # ---------------------------------------------------------------------------
 
 _G6_PREFIX = ">>graph6<<"
 _G6_BAD_BYTE = re.compile("[^?-~]")  # outside 63..126
 # a graph6 byte to its six stream bits, last bit first
 _G6_BITS = {63 + v: format(v, "06b")[::-1] for v in range(64)}
+_B64_TO_G6 = bytes.maketrans(
+    b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/",
+    bytes(range(63, 127)),
+)
 
 
 def serialize_graph6(g: Graph) -> str:
@@ -204,12 +220,16 @@ def serialize_graph6(g: Graph) -> str:
         header = "~" + "".join(
             chr(63 + (g.n >> shift & 63)) for shift in (12, 6, 0)
         )
-    # column c is the low c bits of adj[c], row 0 first
-    stream = "".join(format(g.adj[c] & ((1 << c) - 1), f"0{c}b")[::-1] for c in range(1, g.n))
-    stream += "0" * (-len(stream) % 6)
-    return header + "".join(
-        chr(63 + int(stream[i:i + 6], 2)) for i in range(0, len(stream), 6)
-    )
+    nbits = g.n * (g.n - 1) // 2
+    # bit i of tri is stream bit i: column c is the low c bits of adj[c]
+    tri = 0
+    for c in range(1, g.n):
+        tri |= (g.adj[c] & ((1 << c) - 1)) << c * (c - 1) // 2
+    # stream bit 0 becomes the top bit of whole 3-byte blocks
+    nbytes = -(-nbits // 24) * 3
+    packed = int(format(tri, f"0{nbits}b")[::-1], 2) << nbytes * 8 - nbits
+    body = binascii.b2a_base64(packed.to_bytes(nbytes, "big"), newline=False)
+    return header + body.translate(_B64_TO_G6)[:-(-nbits // 6)].decode("ascii")
 
 
 def parse_graph6(text: str) -> Graph:

@@ -47,7 +47,8 @@ def max_matching(g: Graph) -> Matching:
 
 
 def matching_number(g: Graph) -> int:
-    return max_matching(g).size
+    """Edges in a maximum matching: half the matched vertices, no pairs built."""
+    return (g.n - _maximum_mates(_neighbor_lists(g)).count(-1)) // 2
 
 
 def _neighbor_lists(g: Graph) -> list[list[int]]:

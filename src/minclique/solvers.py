@@ -114,6 +114,7 @@ def _max_clique_within(g: Graph) -> tuple[int, tuple[int, ...], int, list[int], 
     full = (1 << len(verts)) - 1
     root = _greedy_color_order(full, radj)
     expand(full, 0, 0, root)
+    expand = None  # the closure refers to itself: free it without the cyclic gc
     clique = tuple(sorted(bits(best_mask), key=verts.__getitem__))
     return best_size, clique, root[-1][1], verts, radj
 
@@ -221,4 +222,6 @@ def _colorable(radj: list[int], k: int, clique: tuple[int, ...]) -> bool:
         buckets[s] |= low
         return False
 
-    return solve(uncolored, len(clique) - 1)
+    found = solve(uncolored, len(clique) - 1)
+    solve = None  # as in _max_clique_within
+    return found

@@ -252,6 +252,43 @@ def test_graph6_matches_networkx():
         assert brute.from_edges(n, back.edges()) == g
 
 
+def _graph6_by_definition(g):
+    """graph6 written bit by bit from the format's definition: the header
+    N(n), then x(0,1), x(0,2), x(1,2), x(0,3), ... (the upper triangle by
+    columns) padded with zeros to a multiple of six, each 6-bit group
+    big-endian as chr(63 + group)."""
+    n = g.n
+    if n <= 62:
+        header = [n]
+    else:
+        header = [63, n >> 12 & 63, n >> 6 & 63, n & 63]
+    stream = [g.adj[j] >> i & 1 for j in range(n) for i in range(j)]
+    stream += [0] * (-len(stream) % 6)
+    groups = [
+        sum(bit << 5 - k for k, bit in enumerate(stream[i:i + 6]))
+        for i in range(0, len(stream), 6)
+    ]
+    return "".join(chr(63 + x) for x in header + groups)
+
+
+def test_graph6_matches_definition():
+    # every n the package allows, on empty, complete and random graphs: both
+    # header forms and every residue C(n, 2) % 6 can take (0, 1, 3 and 4,
+    # so 0, 5, 3 and 2 padding bits)
+    rng = random.Random(29)
+    residues, headers = set(), set()
+    for n in range(65):
+        graphs = [Graph(n, (0,) * n), complete_graph(n)]
+        graphs += [random_graph(rng, n, p) for p in (0.1, 0.5, 0.9)]
+        for g in graphs:
+            text = serialize_graph6(g)
+            assert text == _graph6_by_definition(g), n
+            assert parse_graph6(text) == g
+        residues.add(n * (n - 1) // 2 % 6)
+        headers.add(text[0] == "~")
+    assert residues == {0, 1, 3, 4} and headers == {False, True}
+
+
 def test_graph6_roundtrip_large():
     rng = random.Random(13)
     for n in (62, 63, 64):
