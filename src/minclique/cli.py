@@ -17,8 +17,10 @@ Commands:
     gap N                   largest chi - omega on N vertices, by the formula
     compose F1 F2 [...]     merge two alpha <= 2 graphs
 
-`main` parses (one parser per process), times, reports and maps errors to
-exit statuses; each command only computes.
+Each command computes its facts and turns them into check rows, named
+pass/fail/indeterminate outcomes with the condition checked; `main` parses
+(one parser per process), times, emits the report and maps errors to exit
+statuses.
 """
 
 from __future__ import annotations
@@ -29,19 +31,34 @@ import functools
 import json
 import sys
 import time
+from dataclasses import dataclass
 
 from . import constructions, matching, oracle, qfunction, solvers
 from .errors import UnsupportedWitnessError
 from .graphs import Graph, parse_graph6, serialize_graph6
 from .intervals import IntInterval
 from .ramsey import default_catalog, small_omega
-from .reports import FAIL, INDETERMINATE, PASS, CheckResult
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_INPUT_ERROR = 2
 
 ALL_PROPS = ("omega", "chi", "alpha", "nu")
+
+
+PASS = "pass"
+FAIL = "fail"
+INDETERMINATE = "indeterminate"
+
+
+@dataclass(frozen=True)
+class CheckResult:
+    name: str
+    status: str  # pass | fail | indeterminate
+    condition: str  # the condition checked, with concrete values filled in
+
+    def as_dict(self) -> dict:
+        return {"name": self.name, "status": self.status, "condition": self.condition}
 
 
 class _InputError(Exception):
@@ -104,10 +121,10 @@ def _cmd_q(args) -> _Report:
         "q": _interval_json(value),
         "parts": list(cert.parts),
         "part_values": [_interval_json(v) for v in cert.part_values],
-        "indeterminate": cert.conditional,
+        "indeterminate": not value.exact,
     }
     checks = []
-    if cert.conditional:
+    if not value.exact:
         checks.append(CheckResult(
             f"q({args.k})", INDETERMINATE,
             f"value depends on open Ramsey bounds; known to lie in {value}",
@@ -236,14 +253,33 @@ def _check_theorem1(args) -> _Report:
 
 
 def _check_theorem2(args) -> _Report:
+    """One row per k <= --kmax: the minimum over at most 3 parts against the
+    unrestricted q(k) where q(k) is exact, no verdict where it is not; the
+    exact k that 2 parts or a single part do not serve go into the results."""
     if args.kmax < 1:
         raise _InputError("theorem2 check needs --kmax >= 1")
-    report = qfunction.check_three_parts_suffice(args.kmax)
-    results = {"indeterminate_k": list(report.indeterminate),
-               "two_part_exceptions": list(report.two_part_exceptions),
-               "single_block_exceptions": list(report.single_block_exceptions)}
-    inputs = {"target": "theorem2", "kmax": args.kmax}
-    return "check theorem2", inputs, results, list(report.entries)
+    minimum = qfunction.few_parts_minima(args.kmax)
+    checks, indeterminate, two_part, single = [], [], [], []
+    for k in range(1, args.kmax + 1):
+        full = minimum(k, k)[0]
+        if not full.exact:
+            indeterminate.append(k)
+            checks.append(CheckResult(
+                f"k={k}", INDETERMINATE, f"q({k}) only known to lie in {full}; no verdict"))
+            continue
+        three = minimum(k, 3)[0]
+        checks.append(CheckResult(
+            f"k={k}", PASS if three == full else FAIL,
+            f"min over <= 3 parts is {three}, unrestricted is {full}",
+        ))
+        if minimum(k, 2)[0] != full:
+            two_part.append(k)
+        single_cost = qfunction.block_cost(k)
+        if single_cost.exact and single_cost != full:
+            single.append(k)
+    results = {"indeterminate_k": indeterminate, "two_part_exceptions": two_part,
+               "single_block_exceptions": single}
+    return "check theorem2", {"target": "theorem2", "kmax": args.kmax}, results, checks
 
 
 def _check_catalog(args) -> _Report:

@@ -12,12 +12,13 @@ misses) is the union of those marks.  A is the outside neighborhood of D, C
 is everything else.  The tests check D against the direct characterization,
 v in D iff deleting v does not drop the matching number.
 
-`verify_complement_partition` checks, on a concrete graph with independence
-number 2, the bullet-point properties of the partition of the complement
-that the Edmonds-Gallai theorem yields: isolated vertices split off, each
-remaining component has size 2k_i or 2k_i + 1 where k_i is its internal
-matching number, the separator X is at most the number of odd components,
-and the matching number decomposes as sum(k_i) + |X|.
+`verify_complement_partition` returns, for a concrete graph with
+independence number 2, the partition of the complement that the
+Edmonds-Gallai theorem yields and one verdict on its properties: isolated
+vertices split off, each remaining component has size 2k_i or 2k_i + 1
+where k_i is its internal matching number, the separator X is at most the
+number of odd components, and the matching number decomposes as
+sum(k_i) + |X|.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from dataclasses import dataclass
 
 from .errors import PreconditionError
 from .graphs import Graph, bits, complement, induced_subgraph
-from .reports import FAIL, PASS, CheckResult
 from . import solvers
 
 
@@ -220,24 +220,19 @@ class PartitionComponent:
 
 @dataclass(frozen=True)
 class ComplementPartitionReport:
-    n: int
     k: int
     isolated: frozenset[int]
     separator: frozenset[int]
     components: tuple[PartitionComponent, ...]
-    bullets: tuple[CheckResult, ...]
-
-    @property
-    def passed(self) -> bool:
-        return all(b.passed for b in self.bullets)
+    passed: bool  # every property of the partition holds
 
 
 def verify_complement_partition(g: Graph, k: int) -> ComplementPartitionReport:
-    """Check the structure of the complement of an alpha=2 graph whose
-    chromatic number is n - k, bullet by bullet.
+    """The partition of the complement of an alpha=2 graph whose chromatic
+    number is n - k, with the verdict on its properties.
 
     Preconditions (alpha(g) = 2 and chi(g) = n - k) are verified exactly
-    and reported as a PreconditionError, never as a failed bullet.  With
+    and reported as a PreconditionError, never as a failed verdict.  With
     alpha = 2 every colour class is an edge of the complement or a single
     vertex, so chi = n - nu(complement) (Gallai), read off the matching the
     decomposition already holds.
@@ -260,31 +255,9 @@ def verify_complement_partition(g: Graph, k: int) -> ComplementPartitionReport:
         nu_i = matching_number(induced_subgraph(gbar, comp))
         comps.append(PartitionComponent(comp, nu_i))
     comps.sort(key=lambda c: (c.size, min(c.vertices)))
-
-    bullets = []
-
-    def bullet(name: str, ok: bool, condition: str) -> None:
-        bullets.append(CheckResult(name, PASS if ok else FAIL, condition))
-
-    for comp in comps:
-        bullet(
-            f"component-size-{min(comp.vertices)}",
-            comp.size in (2 * comp.matching_size, 2 * comp.matching_size + 1),
-            f"component {sorted(comp.vertices)} has size {comp.size} with internal "
-            f"matching {comp.matching_size}; size must be 2k_i or 2k_i + 1",
-        )
-    odd_count = sum(1 for c in comps if c.size % 2 == 1)
-    bullet(
-        "separator-bound",
-        0 <= len(separator) <= odd_count,
-        f"|X| = {len(separator)} must lie in 0..{odd_count} (number of odd components)",
+    passed = (
+        all(c.size - 2 * c.matching_size in (0, 1) for c in comps)
+        and len(separator) <= sum(c.size % 2 for c in comps)
+        and sum(c.matching_size for c in comps) + len(separator) == k
     )
-    total = sum(c.matching_size for c in comps) + len(separator)
-    bullet(
-        "matching-count",
-        total == k,
-        f"sum of component matchings plus |X| is {total}, must equal k = {k}",
-    )
-    return ComplementPartitionReport(
-        g.n, k, isolated, separator, tuple(comps), tuple(bullets)
-    )
+    return ComplementPartitionReport(k, isolated, separator, tuple(comps), passed)

@@ -10,8 +10,9 @@ One bottom-up table over the largest part allowed (an unbounded knapsack
 plus one row per bounded number of parts) answers every k up to its size,
 counting each partition once, in descending order.  Certificates achieve
 the interval's lower endpoint under optimistic costs and break ties by
-fewest parts, then lexicographically largest part vector.  A certificate
-whose value is not exact is flagged conditional.
+fewest parts, then lexicographically largest part vector.  The theorem2
+check reads the same table, with rows for at most 2 and 3 parts, through
+`few_parts_minima`.
 
 The table costs time at least quadratic in its size, so each entry point
 that a command line argument sizes has a limit (below), past which it
@@ -28,7 +29,6 @@ from math import inf
 from .errors import CapacityError
 from .intervals import IntInterval, interval_max, interval_sum
 from .ramsey import small_omega
-from .reports import FAIL, INDETERMINATE, PASS, CheckResult
 
 
 # The largest argument of each entry point a command sizes: `q k`,
@@ -54,7 +54,6 @@ class QCertificate:
     parts: tuple[int, ...]
     part_values: tuple[IntInterval, ...]
     total: IntInterval
-    conditional: bool  # true when q(k) itself is not exactly determined
 
     def __post_init__(self) -> None:
         if sum(self.parts) != self.k or any(p < 1 for p in self.parts):
@@ -102,8 +101,7 @@ def _partition_minima(k_max: int, s_max: int) -> Callable[[int, int], tuple[IntI
             r -= parts[-1]
             s -= 1
         part_values = tuple(block_cost(p) for p in parts)
-        cert = QCertificate(k, tuple(parts), part_values, interval_sum(part_values),
-                            conditional=not value.exact)
+        cert = QCertificate(k, tuple(parts), part_values, interval_sum(part_values))
         assert cert.total.lo == value.lo
         return value, cert
 
@@ -132,6 +130,15 @@ def q_bounded_s(k: int, s_max: int) -> tuple[IntInterval, QCertificate]:
     return _partition_minima(k, s_max if s_max < k else 0)(k, s_max)
 
 
+def few_parts_minima(k_max: int) -> Callable[[int, int], tuple[IntInterval, QCertificate]]:
+    """Reader (k, s) -> (value, certificate) for all k <= k_max and s <= 3
+    or s >= k: the one table the theorem2 check reads."""
+    if k_max > THEOREM2_KMAX:
+        raise CapacityError(f"the three-parts check needs k_max <= {THEOREM2_KMAX} "
+                            f"(THEOREM2_KMAX), got {k_max}")
+    return _partition_minima(k_max, 3)
+
+
 def chromatic_gap(n: int) -> IntInterval:
     """Largest possible excess of chromatic number over clique number on n
     vertices, by the formula.
@@ -158,56 +165,3 @@ def chromatic_gap(n: int) -> IntInterval:
     for k in range(1, (n - 1) // 2 + 1):
         candidates.append(k - minimum(k, n - 2 * k)[0])
     return interval_max(*candidates)
-
-
-@dataclass(frozen=True)
-class FewPartsReport:
-    """Outcome of checking that three parts always suffice, with the
-    side observations about two parts and a single part."""
-
-    k_max: int
-    entries: tuple[CheckResult, ...]
-    indeterminate: tuple[int, ...]  # k where intervals prevent a verdict
-    two_part_exceptions: tuple[int, ...]  # exact k needing more than 2 parts
-    single_block_exceptions: tuple[int, ...]  # exact k where one part is not optimal
-
-    @property
-    def passed(self) -> bool:
-        return all(e.passed for e in self.entries)
-
-
-def check_three_parts_suffice(k_max: int) -> FewPartsReport:
-    """For each exactly determined k <= k_max, assert that restricting the
-    minimization to at most 3 parts loses nothing; k with interval values
-    are reported as indeterminate.  Also records where 2 parts or a single
-    part would not suffice (the lone single-part exception is k = 4)."""
-    if k_max > THEOREM2_KMAX:
-        raise CapacityError(f"the three-parts check needs k_max <= {THEOREM2_KMAX} "
-                            f"(THEOREM2_KMAX), got {k_max}")
-    minimum = _partition_minima(k_max, 3)
-    entries = []
-    indeterminate = []
-    two_part = []
-    single = []
-    for k in range(1, k_max + 1):
-        full, _ = minimum(k, k)
-        if not full.exact:
-            indeterminate.append(k)
-            entries.append(CheckResult(
-                f"k={k}", INDETERMINATE,
-                f"q({k}) only known to lie in {full}; no verdict",
-            ))
-            continue
-        bounded, _ = minimum(k, 3)
-        ok = bounded == full
-        entries.append(CheckResult(
-            f"k={k}", PASS if ok else FAIL,
-            f"min over <= 3 parts is {bounded}, unrestricted is {full}",
-        ))
-        if minimum(k, 2)[0] != full:
-            two_part.append(k)
-        if block_cost(k).exact and block_cost(k) != full:
-            single.append(k)
-    return FewPartsReport(
-        k_max, tuple(entries), tuple(indeterminate), tuple(two_part), tuple(single)
-    )

@@ -6,6 +6,8 @@ exhaustive one (all isomorphism classes through 8 vertices); everything
 is cached per session, so the suite shares one enumeration pass.
 """
 
+import io
+import json
 import random
 import time
 
@@ -26,9 +28,9 @@ from minclique import (
     q_bounded_s,
     q_value,
 )
+from minclique.cli import main
 from minclique.constructions import ComposeInput
 from minclique.oracle import KNOWN_CLASS_COUNTS, level_stats
-from minclique.qfunction import check_three_parts_suffice
 
 import brute
 from conftest import random_graph, random_triangle_free
@@ -178,14 +180,15 @@ def test_criterion_09_gap_identity():
 
 
 def test_criterion_10_three_parts_suffice():
-    report = check_three_parts_suffice(22)
-    assert report.passed
+    out = io.StringIO()
+    assert main(["check", "theorem2", "--kmax", "22"], out=out, err=io.StringIO()) == 0
+    results = json.loads(out.getvalue())["results"]
     for k in range(1, 23):
         value = q_value(k)
         if value.exact:
             assert q_bounded_s(k, 3)[0] == value, k
-    assert report.indeterminate == (20,)
-    assert report.single_block_exceptions == (4,)
+    assert results["indeterminate_k"] == [20]
+    assert results["single_block_exceptions"] == [4]
     assert q(4)[1].parts == (2, 2)
     _report(10, "three parts always suffice on exact values; single-block "
                 "exception is exactly k = 4 with certificate (2, 2)")

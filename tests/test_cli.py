@@ -159,6 +159,25 @@ def test_check_theorem1_rows_pinned():
     ]
 
 
+def test_check_theorem2_rows_pinned():
+    out, err = io.StringIO(), io.StringIO()
+    assert main(["check", "theorem2", "--kmax", "22"], out=out, err=err) == 0
+    payload = json.loads(out.getvalue())
+    # q(k) for k = 1..22; q(20) is only known to lie in [8, 9]
+    exact = dict(enumerate([1, 1, 2, 2, 3, 3, 4, 4, 5, 5, 6, 6, 6, 7, 7, 7, 7, 8, 8], 1))
+    exact.update({21: 9, 22: 9})
+    assert [(c["name"], c["status"], c["condition"]) for c in payload["checks"]] == [
+        (f"k={k}", "pass", f"min over <= 3 parts is {exact[k]}, unrestricted is {exact[k]}")
+        if k in exact else
+        (f"k={k}", "indeterminate", f"q({k}) only known to lie in [8, 9]; no verdict")
+        for k in range(1, 23)
+    ]
+    assert payload["results"] == {
+        "indeterminate_k": [20], "two_part_exceptions": [], "single_block_exceptions": [4],
+    }
+    assert err.getvalue() == "check theorem2: 21 passed, 0 failed, 1 indeterminate\n"
+
+
 def test_gap_command():
     code, payload, _ = run_cli("gap", "5")
     assert code == 0 and payload["results"] == {"gap": [1, 1]}

@@ -23,7 +23,7 @@ from minclique import (
     q_value,
     serialize_graph6,
 )
-from minclique import matching, oracle, solvers
+from minclique import constructions, matching, oracle, solvers
 from minclique.cli import main
 from minclique.constructions import ComposeInput, _lex_first_clique, eq4_upper_bound
 from minclique.oracle import brute_gap, enumerate_graphs
@@ -241,6 +241,15 @@ def test_build_extremal_errors():
         build_extremal(65, 0)
     with pytest.raises(PreconditionError):
         build_extremal(7, -1)
+
+
+def test_build_extremal_rejects_a_wrong_join_chi(monkeypatch):
+    join_and_chi = constructions.certified_join
+    monkeypatch.setattr(constructions, "certified_join",
+                        lambda parts, omega, source: (join_and_chi(parts, omega, source)[0], 6))
+    with pytest.raises(RuntimeError, match="internal error: joined graph has chromatic "
+                                           "number 6, expected 5"):
+        build_extremal(7, 2)
 
 
 def test_gap_oracle_small():

@@ -1,4 +1,5 @@
 import io
+import json
 import sys
 import time
 
@@ -6,8 +7,7 @@ import pytest
 
 from minclique import IntInterval, chromatic_gap, q, q_bounded_s, q_value, qfunction
 from minclique.cli import main
-from minclique.qfunction import FewPartsReport, block_cost, check_three_parts_suffice
-from minclique.reports import FAIL, PASS, CheckResult
+from minclique.qfunction import QCertificate, block_cost
 
 import brute
 
@@ -39,8 +39,8 @@ def test_q_certificates():
     assert cert.part_values == (IntInterval.point(1),) * 2
     _, cert = q(14)
     assert cert.parts == (14,)
-    _, cert = q(20)
-    assert cert.conditional
+    value, cert = q(20)
+    assert not value.exact
     assert cert.total.lo == 8
 
 
@@ -62,8 +62,17 @@ def test_certificates_consistent():
         value, cert = q(k)
         assert sum(cert.parts) == k
         assert cert.total.lo == value.lo
-        assert cert.conditional == (not value.exact)
         assert list(cert.parts) == sorted(cert.parts, reverse=True)
+
+
+@pytest.mark.parametrize("parts, part_values, total, message", [
+    ((2, 1), (1, 1), 2, "sum to k"),  # 3 != k
+    ((4, 0), (2, 0), 2, "sum to k"),  # a zero part
+    ((2, 2), (1, 1), 3, "sum of its part values"),
+], ids=["wrong-sum", "zero-part", "wrong-total"])
+def test_certificate_rejects_inconsistent_parts(parts, part_values, total, message):
+    with pytest.raises(ValueError, match=message):
+        QCertificate(4, parts, tuple(map(IntInterval.point, part_values)), IntInterval.point(total))
 
 
 def test_q_bounded_examples():
@@ -142,18 +151,26 @@ def test_single_block_matches_q_except_4():
             assert block_cost(k).lo == EXACT_Q[k]
 
 
+def check_theorem2(k_max):
+    out, err = io.StringIO(), io.StringIO()
+    code = main(["check", "theorem2", "--kmax", str(k_max)], out=out, err=err)
+    return code, json.loads(out.getvalue()), err.getvalue()
+
+
 def test_three_parts_report():
-    report = check_three_parts_suffice(22)
-    assert report.passed
-    assert report.indeterminate == (20,)
-    assert report.single_block_exceptions == (4,)
-    assert report.two_part_exceptions == ()
-    statuses = {e.name: e.status for e in report.entries}
+    code, payload, _ = check_theorem2(22)
+    assert code == 0
+    assert payload["results"]["indeterminate_k"] == [20]
+    assert payload["results"]["single_block_exceptions"] == [4]
+    assert payload["results"]["two_part_exceptions"] == []
+    statuses = {c["name"]: c["status"] for c in payload["checks"]}
+    assert "fail" not in statuses.values()
     assert statuses["k=20"] == "indeterminate"
     assert statuses["k=22"] == "pass"
 
-    small = check_three_parts_suffice(1)
-    assert small.passed and len(small.entries) == 1
+    code, small, _ = check_theorem2(1)
+    assert code == 0 and len(small["checks"]) == 1
+    assert small["checks"][0]["status"] == "pass"
 
 
 def test_three_parts_report_from_small_tables():
@@ -165,15 +182,17 @@ def test_three_parts_report_from_small_tables():
         for k in ks:
             full, three = q_value(k), q_bounded_s(k, 3)[0]
             assert full.exact
-            entries.append(CheckResult(
-                f"k={k}", PASS if three == full else FAIL,
-                f"min over <= 3 parts is {three}, unrestricted is {full}",
-            ))
-        assert check_three_parts_suffice(k_max) == FewPartsReport(
-            k_max, tuple(entries), (),
-            tuple(k for k in ks if q_bounded_s(k, 2)[0] != q_value(k)),
-            tuple(k for k in ks if block_cost(k) != q_value(k)),
-        ), k_max
+            entries.append({
+                "name": f"k={k}", "status": "pass" if three == full else "fail",
+                "condition": f"min over <= 3 parts is {three}, unrestricted is {full}",
+            })
+        _, payload, _ = check_theorem2(k_max)
+        assert payload["checks"] == entries, k_max
+        assert payload["results"] == {
+            "indeterminate_k": [],
+            "two_part_exceptions": [k for k in ks if q_bounded_s(k, 2)[0] != q_value(k)],
+            "single_block_exceptions": [k for k in ks if block_cost(k) != q_value(k)],
+        }, k_max
 
 
 def test_three_parts_report_failures(monkeypatch):
@@ -181,16 +200,15 @@ def test_three_parts_report_failures(monkeypatch):
     # all-ones partitions are cheap; three parts lose from k = 4, two from
     # k = 3 and a single part from k = 2
     monkeypatch.setattr(qfunction, "block_cost", lambda p: IntInterval.point(0 if p == 1 else 10))
-    report = check_three_parts_suffice(5)
-    assert [(e.name, e.status) for e in report.entries] == [
-        ("k=1", PASS), ("k=2", PASS), ("k=3", PASS), ("k=4", FAIL), ("k=5", FAIL),
+    code, payload, err = check_theorem2(5)
+    assert [(c["name"], c["status"]) for c in payload["checks"]] == [
+        ("k=1", "pass"), ("k=2", "pass"), ("k=3", "pass"), ("k=4", "fail"), ("k=5", "fail"),
     ]
-    assert report.entries[3].condition == "min over <= 3 parts is 10, unrestricted is 0"
-    assert report.two_part_exceptions == (3, 4, 5)
-    assert report.single_block_exceptions == (2, 3, 4, 5)
-    out, err = io.StringIO(), io.StringIO()
-    assert main(["check", "theorem2", "--kmax", "5"], out=out, err=err) == 1
-    assert "FAIL k=4" in err.getvalue()
+    assert payload["checks"][3]["condition"] == "min over <= 3 parts is 10, unrestricted is 0"
+    assert payload["results"]["two_part_exceptions"] == [3, 4, 5]
+    assert payload["results"]["single_block_exceptions"] == [2, 3, 4, 5]
+    assert code == 1
+    assert "FAIL k=4" in err
 
 
 def test_q_runtime():
