@@ -29,9 +29,10 @@ isomorphic children, and the degree, budget and key tests give them the
 same verdict: an automorphism keeps degrees and edge counts, and the set
 of the parent's top-degree vertices is a union of degree classes.  Then a
 survivor whose new vertex is the only vertex with the maximal key is kept
-with no canonical form.  Take two such survivors in one class, from
-parents P and P'.  An isomorphism between them maps the one top-key
-vertex to the other, so new vertex to new vertex; it restricts to an
+with no canonical form, and with no keys at all when the new vertex's
+degree alone is strictly the largest.  Take two such survivors in one
+class, from parents P and P'.  An isomorphism between them maps the one
+top-key vertex to the other, so new vertex to new vertex; it restricts to an
 isomorphism P -> P', so P = P', since a level holds one representative
 per class, and it restricts to an automorphism of P that sends one mask
 to the other.  The orbit step tried only one of the two masks, so the two
@@ -91,6 +92,18 @@ multipartite graph) down to one.
 On top of the enumeration: the table of minimum clique number by chromatic
 number and the largest chi - omega excess, read off that table.  The
 formula is checked against both by `check theorem1` (`cli._check_theorem1`).
+
+The table needs an exact search on few graphs.  Each graph first gets two
+cheap bounds over its vertices by descending degree, ties by index: `low`,
+the size of a greedy clique, and `high`, the colour count of a first-fit
+colouring, so low <= omega <= chi <= high.  If every c in [low, high]
+already has an entry <= low, the graph is skipped: its own entry would sit
+at c = chi, which already holds a value <= low <= omega, so it can neither
+add a key nor lower a value.  Otherwise, if low == high, then omega = chi =
+low with no search, and only else does the exact search run.  The first
+graph with a given chi is never skipped, since that key is still missing,
+so the table gets the same keys, in the same order, with the same values
+as with a search on every graph.
 """
 
 from __future__ import annotations
@@ -265,6 +278,10 @@ def _ensure_level(n: int) -> None:
                 child = tuple(
                     row | ((mask >> v & 1) << m) for v, row in enumerate(rows)
                 ) + (mask,)
+                d = mask.bit_count()
+                if d > top + 1 or (d > top and not mask & top_mask):
+                    lighter.append(child)  # a strictly top degree: the unique top key
+                    continue
                 keys = _vertex_keys(m + 1, child)
                 top_key = max(keys)
                 if keys[m] < top_key:
@@ -307,14 +324,41 @@ def count_graphs(n: int) -> int:
 # -- exhaustive statistics -----------------------------------------------------
 
 
+def _greedy_bounds(n: int, adj) -> tuple[int, int]:
+    """(low, high) with low <= omega <= chi <= high: the size of a greedy
+    clique and the colour count of a first-fit colouring, both over the
+    vertices by descending degree, ties by index."""
+    cand, low, classes = (1 << n) - 1, 0, []
+    for v in sorted(range(n), key=lambda v: -adj[v].bit_count()):
+        row = adj[v]
+        if cand >> v & 1:
+            low += 1
+            cand &= row
+        for c, members in enumerate(classes):
+            if not members & row:
+                classes[c] = members | 1 << v
+                break
+        else:
+            classes.append(1 << v)
+    return low, len(classes)
+
+
 @functools.cache
 def level_stats(n: int) -> dict[int, int]:
     """Per-vertex-count exhaustive table: for each achievable chromatic
     number c, the least clique number over the n-vertex graphs with chi = c,
-    so `level_stats(n).get(c)` is Q(n, c), or None where no graph has it."""
+    so `level_stats(n).get(c)` is Q(n, c), or None where no graph has it.
+    Only a graph that could still change the table gets the exact search
+    (module docstring)."""
     min_clique: dict[int, int] = {}
     for g in enumerate_graphs(n):
-        omega, chi = solvers.clique_and_chromatic_number(g)
+        low, high = _greedy_bounds(n, g.adj)
+        if all(c in min_clique and min_clique[c] <= low for c in range(low, high + 1)):
+            continue
+        if low == high:
+            omega = chi = low
+        else:
+            omega, chi = solvers.clique_and_chromatic_number(g)
         if chi not in min_clique or omega < min_clique[chi]:
             min_clique[chi] = omega
     return min_clique

@@ -82,16 +82,6 @@ def test_verify_command(tmp_path, c5):
     assert code == 2
 
 
-def test_check_theorem2():
-    code, payload, _ = run_cli("check", "theorem2", "--kmax", "22")
-    assert code == 0
-    assert payload["results"]["indeterminate_k"] == [20]
-    assert payload["results"]["single_block_exceptions"] == [4]
-    statuses = {c["name"]: c["status"] for c in payload["checks"]}
-    assert statuses["k=20"] == "indeterminate"
-    assert all(s in ("pass", "indeterminate") for s in statuses.values())
-
-
 def test_check_catalog():
     code, payload, _ = run_cli("check", "catalog")
     assert code == 0
@@ -160,9 +150,13 @@ def test_check_theorem1_rows_pinned():
 
 
 def test_check_theorem2_rows_pinned():
-    out, err = io.StringIO(), io.StringIO()
-    assert main(["check", "theorem2", "--kmax", "22"], out=out, err=err) == 0
-    payload = json.loads(out.getvalue())
+    code, payload, err = run_cli("check", "theorem2", "--kmax", "22")
+    assert code == 0
+    assert payload["results"]["indeterminate_k"] == [20]
+    assert payload["results"]["single_block_exceptions"] == [4]
+    statuses = {c["name"]: c["status"] for c in payload["checks"]}
+    assert statuses["k=20"] == "indeterminate"
+    assert all(s in ("pass", "indeterminate") for s in statuses.values())
     # q(k) for k = 1..22; q(20) is only known to lie in [8, 9]
     exact = dict(enumerate([1, 1, 2, 2, 3, 3, 4, 4, 5, 5, 6, 6, 6, 7, 7, 7, 7, 8, 8], 1))
     exact.update({21: 9, 22: 9})
@@ -175,7 +169,7 @@ def test_check_theorem2_rows_pinned():
     assert payload["results"] == {
         "indeterminate_k": [20], "two_part_exceptions": [], "single_block_exceptions": [4],
     }
-    assert err.getvalue() == "check theorem2: 21 passed, 0 failed, 1 indeterminate\n"
+    assert err == "check theorem2: 21 passed, 0 failed, 1 indeterminate\n"
 
 
 def test_gap_command():

@@ -21,6 +21,7 @@ from minclique import (
     enumerate_graphs,
     join,
     oracle,
+    solvers,
 )
 from minclique.graphs import bits
 from minclique.oracle import (
@@ -96,17 +97,24 @@ def test_levels_equal_the_unpruned_reference_in_order():
 def test_level_8_canonicalises_only_tied_children(monkeypatch):
     count_graphs(8)
     expected = oracle._levels[8]
-    calls = []
+    calls, keyed = [], []
 
     def counted(n, adj, keys):
         calls.append(n)
         return _canonical_columns(n, adj, keys)
 
+    def counted_keys(n, adj):
+        keyed.append(n)
+        return _vertex_keys(n, adj)
+
     monkeypatch.setattr(oracle, "_levels", oracle._levels[:8])
     monkeypatch.setattr(oracle, "_canonical_columns", counted)
+    monkeypatch.setattr(oracle, "_vertex_keys", counted_keys)
     count_graphs(8)
     assert oracle._levels[8] == expected
     assert len(calls) == 2091  # 13,754 with a form for every survivor
+    # children whose new vertex has a strictly top degree get no keys
+    assert keyed.count(8) == 6392  # 10,296 without the degree-first test
 
 
 def test_automorphism_groups_satisfy_the_orbit_count():
@@ -192,6 +200,34 @@ def test_q_tables_match_networkx_atlas():
     for n in range(8):
         assert tables[n] == level_stats(n)
         assert gaps[n] == brute_gap(n), n
+
+
+def test_pruned_tables_equal_an_exact_search_on_every_graph():
+    # the unpruned table, with the bounds the pruning rests on checked per graph
+    for n in range(9):
+        exact = {}
+        for g in enumerate_graphs(n):
+            low, high = oracle._greedy_bounds(n, g.adj)
+            omega, chi = solvers.clique_and_chromatic_number(g)
+            assert low <= omega <= chi <= high, g.adj
+            if chi not in exact or omega < exact[chi]:
+                exact[chi] = omega
+        assert list(level_stats.__wrapped__(n).items()) == list(exact.items()), n
+
+
+def test_level_stats_searches_only_where_an_entry_can_move(monkeypatch):
+    calls = []
+    exact = solvers.clique_and_chromatic_number
+
+    def counted(g):
+        calls.append(g.n)
+        return exact(g)
+
+    monkeypatch.setattr(solvers, "clique_and_chromatic_number", counted)
+    for n in range(9):
+        level_stats.__wrapped__(n)
+    assert len(calls) == 79  # 13,599 with a search on every graph
+    assert calls.count(8) == 72
 
 
 def _swap_edges(rng, g):
