@@ -149,14 +149,19 @@ def test_check_theorem1_rows_pinned():
     ]
 
 
-def test_check_theorem2_rows_pinned():
-    code, payload, err = run_cli("check", "theorem2", "--kmax", "22")
+def test_check_theorem2():
+    code, payload, _ = run_cli("check", "theorem2", "--kmax", "22")
     assert code == 0
     assert payload["results"]["indeterminate_k"] == [20]
     assert payload["results"]["single_block_exceptions"] == [4]
     statuses = {c["name"]: c["status"] for c in payload["checks"]}
     assert statuses["k=20"] == "indeterminate"
     assert all(s in ("pass", "indeterminate") for s in statuses.values())
+
+
+def test_check_theorem2_rows_pinned():
+    code, payload, err = run_cli("check", "theorem2", "--kmax", "22")
+    assert code == 0
     # q(k) for k = 1..22; q(20) is only known to lie in [8, 9]
     exact = dict(enumerate([1, 1, 2, 2, 3, 3, 4, 4, 5, 5, 6, 6, 6, 7, 7, 7, 7, 8, 8], 1))
     exact.update({21: 9, 22: 9})
