@@ -37,7 +37,6 @@ from .matching import (
     Matching,
     edmonds_gallai,
     matching_number,
-    max_matching,
     verify_complement_partition,
 )
 from .oracle import brute_gap, canonical_form, count_graphs, enumerate_graphs

@@ -365,6 +365,3 @@ def main(argv=None, out=sys.stdout, err=sys.stderr) -> int:
         return EXIT_INPUT_ERROR
     return _emit(*report, started, out, err)
 
-
-if __name__ == "__main__":
-    sys.exit(main())

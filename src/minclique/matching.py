@@ -13,12 +13,13 @@ is everything else.  The tests check D against the direct characterization,
 v in D iff deleting v does not drop the matching number.
 
 `verify_complement_partition` returns, for a concrete graph with
-independence number 2, the partition of the complement that the
-Edmonds-Gallai theorem yields and one verdict on its properties: isolated
-vertices split off, each remaining component has size 2k_i or 2k_i + 1
-where k_i is its internal matching number, the separator X is at most the
-number of odd components, and the matching number decomposes as
-sum(k_i) + |X|.
+independence number 2, one verdict on the partition of the complement that
+the Edmonds-Gallai theorem yields: with the isolated vertices and the
+separator X = A removed, each remaining component has size 2k_i or
+2k_i + 1 where k_i is its internal matching number, X is at most the number
+of odd components, and the matching number decomposes as sum(k_i) + |X|.
+The report keeps only k and the verdict; the tests recompute the partition
+on their own (`tests/brute.py`).
 """
 
 from __future__ import annotations
@@ -40,10 +41,6 @@ class Matching:
     @property
     def size(self) -> int:
         return len(self.pairs)
-
-
-def max_matching(g: Graph) -> Matching:
-    return _pairs(_maximum_mates(_neighbor_lists(g)))
 
 
 def matching_number(g: Graph) -> int:
@@ -203,33 +200,14 @@ def _components_within(g: Graph, vertex_set: frozenset[int]) -> tuple[frozenset[
 
 
 @dataclass(frozen=True)
-class PartitionComponent:
-    vertices: frozenset[int]
-    matching_size: int
-
-    @property
-    def size(self) -> int:
-        return len(self.vertices)
-
-    @property
-    def kind(self) -> str:
-        if self.size == 1:
-            return "singleton"
-        return "odd" if self.size % 2 else "even"
-
-
-@dataclass(frozen=True)
 class ComplementPartitionReport:
     k: int
-    isolated: frozenset[int]
-    separator: frozenset[int]
-    components: tuple[PartitionComponent, ...]
     passed: bool  # every property of the partition holds
 
 
 def verify_complement_partition(g: Graph, k: int) -> ComplementPartitionReport:
-    """The partition of the complement of an alpha=2 graph whose chromatic
-    number is n - k, with the verdict on its properties.
+    """The verdict on the partition of the complement of an alpha=2 graph
+    whose chromatic number is n - k.
 
     Preconditions (alpha(g) = 2 and chi(g) = n - k) are verified exactly
     and reported as a PreconditionError, never as a failed verdict.  With
@@ -247,17 +225,13 @@ def verify_complement_partition(g: Graph, k: int) -> ComplementPartitionReport:
         raise PreconditionError(
             f"chromatic number is {chi}, need n - k = {g.n} - {k} = {g.n - k}"
         )
-    isolated = frozenset(v for v in range(gbar.n) if gbar.adj[v] == 0)
-    separator = decomp.a
-    rest = frozenset(range(gbar.n)) - separator - isolated
-    comps = []
-    for comp in _components_within(gbar, rest):
-        nu_i = matching_number(induced_subgraph(gbar, comp))
-        comps.append(PartitionComponent(comp, nu_i))
-    comps.sort(key=lambda c: (c.size, min(c.vertices)))
+    # an isolated vertex is in D, never in the separator A
+    rest = frozenset(v for v in range(gbar.n) if gbar.adj[v]) - decomp.a
+    comps = [(len(comp), matching_number(induced_subgraph(gbar, comp)))
+             for comp in _components_within(gbar, rest)]
     passed = (
-        all(c.size - 2 * c.matching_size in (0, 1) for c in comps)
-        and len(separator) <= sum(c.size % 2 for c in comps)
-        and sum(c.matching_size for c in comps) + len(separator) == k
+        all(size - 2 * nu in (0, 1) for size, nu in comps)
+        and len(decomp.a) <= sum(size % 2 for size, _ in comps)
+        and sum(nu for _, nu in comps) + len(decomp.a) == k
     )
-    return ComplementPartitionReport(k, isolated, separator, tuple(comps), passed)
+    return ComplementPartitionReport(k, passed)

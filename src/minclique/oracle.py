@@ -351,14 +351,14 @@ def level_stats(n: int) -> dict[int, int]:
     Only a graph that could still change the table gets the exact search
     (module docstring)."""
     min_clique: dict[int, int] = {}
-    for g in enumerate_graphs(n):
-        low, high = _greedy_bounds(n, g.adj)
+    for rows in _level(n):
+        low, high = _greedy_bounds(n, rows)
         if all(c in min_clique and min_clique[c] <= low for c in range(low, high + 1)):
             continue
         if low == high:
             omega = chi = low
         else:
-            omega, chi = solvers.clique_and_chromatic_number(g)
+            omega, chi = solvers.clique_and_chromatic_number(Graph(n, rows))
         if chi not in min_clique or omega < min_clique[chi]:
             min_clique[chi] = omega
     return min_clique

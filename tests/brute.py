@@ -5,7 +5,9 @@ independent sets by subset enumeration, colorability by bare recursion,
 matchings by exhaustive choice.  Only usable for small n, which is the
 point — they are the ground truth the fast solvers are pinned against.
 The partition minima enumerate every partition instead of running q's
-dynamic program.  The helpers at the top (an edge-list builder, an edge
+dynamic program.  The Edmonds-Gallai partition is read off its
+definitions, by deleting one vertex at a time, instead of off a blossom
+search.  The helpers at the top (an edge-list builder, an edge
 reader and a relabeller) make the suite's inputs; the package itself works
 only on adjacency rows.
 """
@@ -128,6 +130,65 @@ def matching_number(g: Graph) -> int:
 
 def has_perfect_matching(g: Graph) -> bool:
     return g.n % 2 == 0 and matching_number(g) == g.n // 2
+
+
+def induced(g: Graph, vertices) -> Graph:
+    """Subgraph on the given vertices, renumbered in increasing order."""
+    order = sorted(vertices)
+    return Graph(len(order), tuple(
+        sum(1 << j for j, u in enumerate(order) if g.adj[v] >> u & 1) for v in order
+    ))
+
+
+def d_by_deletion(h: Graph, nu_of=matching_number) -> frozenset[int]:
+    """D of the Edmonds-Gallai partition by its direct characterization: the
+    vertices v with nu(h - v) = nu(h), with `nu_of` for matching numbers."""
+    everything = set(range(h.n))
+    nu = nu_of(h)
+    return frozenset(v for v in everything if nu_of(induced(h, everything - {v})) == nu)
+
+
+def gallai_partition(h: Graph, nu_of=matching_number):
+    """The Edmonds-Gallai partition of h from its definitions alone, with
+    `nu_of` for every matching number: D by deletion, the separator A the
+    neighbours of D outside D.  Returns (isolated, separator, components),
+    the components being those of h - A - isolated as (vertices, matching
+    number) pairs, by size, then least vertex."""
+    everything = set(range(h.n))
+    d = d_by_deletion(h, nu_of)
+    separator = frozenset(u for v in d for u in bits(h.adj[v]) if u not in d)
+    isolated = frozenset(v for v in everything if not h.adj[v])
+    rest = everything - separator - isolated
+    components = []
+    while rest:
+        comp, frontier = set(), [min(rest)]
+        while frontier:
+            v = frontier.pop()
+            if v in rest:
+                rest.discard(v)
+                comp.add(v)
+                frontier.extend(bits(h.adj[v]))
+        components.append((frozenset(comp), nu_of(induced(h, comp))))
+    components.sort(key=lambda c: (len(c[0]), min(c[0])))
+    return isolated, separator, components
+
+
+def gallai_faults(h: Graph, nu: int, nu_of=matching_number) -> list[str]:
+    """The properties of `gallai_partition(h)` that fail, given nu = nu(h):
+    each component has 2 nu_i or 2 nu_i + 1 vertices, the separator is at
+    most the number of odd components, and nu = sum(nu_i) + |separator|.
+    For h the complement of a graph with independence number at most 2, nu
+    is n - chi of that graph (Gallai), so passing n - chi checks both."""
+    _, separator, components = gallai_partition(h, nu_of)
+    faults = [f"component {sorted(c)} has {len(c)} vertices and matching number {nu_i}"
+              for c, nu_i in components if len(c) - 2 * nu_i not in (0, 1)]
+    odd = sum(len(c) % 2 for c, _ in components)
+    if len(separator) > odd:
+        faults.append(f"separator of {len(separator)} exceeds the {odd} odd components")
+    total = sum(nu_i for _, nu_i in components) + len(separator)
+    if total != nu:
+        faults.append(f"components and separator give matching number {total}, not {nu}")
+    return faults
 
 
 def partitions(k: int, s: int, largest: int):

@@ -1,5 +1,6 @@
 import argparse
 import ast
+import hashlib
 import io
 import json
 import os
@@ -57,6 +58,15 @@ def test_witness_command(tmp_path):
     assert "n >= 2k + 3" in err
 
 
+def test_witness_64_8_file_pinned(tmp_path):
+    # the long graph6 header and the packed body, byte for byte
+    out_file = tmp_path / "w64.g6"
+    code, _, _ = run_cli("witness", "64", "8", "--out", str(out_file))
+    assert code == 0
+    assert hashlib.sha256(out_file.read_bytes()).hexdigest() == (
+        "4d8f3c8b2b5d66d42f057428ba6d7bd99cf08d959de6c1cac765f27e01c7c75c")
+
+
 def test_verify_command(tmp_path, c5):
     path = tmp_path / "c5.g6"
     path.write_text(serialize_graph6(c5) + "\n")
@@ -110,6 +120,15 @@ def test_check_theorem1_small(tmp_path):
     assert all(g.n == 5 for g in parsed)
     # one member of each of the 34 classes, whichever members they are
     assert len({canonical_form(g) for g in parsed}) == 34
+
+
+def test_check_theorem1_level_8_dump_pinned(tmp_path):
+    # the level-8 representatives and their order, byte for byte
+    g6_path = tmp_path / "g8.g6"
+    code, _, _ = run_cli("check", "theorem1", "--nmax", "8", "--dump-graph6", str(g6_path))
+    assert code == 0
+    assert hashlib.sha256(g6_path.read_bytes()).hexdigest() == (
+        "28db6b001a294cce9dc930813f3b0dea7627a67272bf832e3707d5e759d840ea")
 
 
 def test_check_theorem1_gap_rows():

@@ -9,10 +9,9 @@ from minclique import (
     edmonds_gallai,
     induced_subgraph,
     matching_number,
-    max_matching,
     verify_complement_partition,
 )
-from minclique import solvers
+from minclique import matching, solvers
 from minclique.oracle import enumerate_graphs
 
 import brute
@@ -28,9 +27,8 @@ def test_matching_known(c5, k4, petersen):
 
 
 def test_matching_is_valid(petersen):
-    m = max_matching(petersen)
     seen = set()
-    for u, v in m.pairs:
+    for u, v in edmonds_gallai(petersen).matching.pairs:
         assert petersen.adj[u] >> v & 1
         assert u not in seen and v not in seen
         seen.update((u, v))
@@ -74,28 +72,19 @@ def test_matching_matches_networkx_random():
         assert matching_number(g) == _nx_matching_number(g)
 
 
-def _d_by_deletion(g, nu_of):
-    """D by its direct characterization: v in D iff nu(G - v) = nu(G)."""
-    nu = nu_of(g)
-    return frozenset(
-        v for v in range(g.n)
-        if nu_of(induced_subgraph(g, set(range(g.n)) - {v})) == nu
-    )
-
-
 def test_edmonds_gallai_d_matches_bruteforce():
     rng = random.Random(29)
     graphs = [g for n in range(7) for g in enumerate_graphs(n)]
     graphs += [random_graph(rng, rng.randrange(1, 11), rng.random()) for _ in range(200)]
     for g in graphs:
-        assert edmonds_gallai(g).d == _d_by_deletion(g, brute.matching_number)
+        assert edmonds_gallai(g).d == brute.d_by_deletion(g)
 
 
 def test_edmonds_gallai_d_matches_networkx():
     rng = random.Random(40)
     for _ in range(20):
         g = random_graph(rng, rng.randrange(11, 41), rng.random() ** 2)
-        assert edmonds_gallai(g).d == _d_by_deletion(g, _nx_matching_number)
+        assert edmonds_gallai(g).d == brute.d_by_deletion(g, _nx_matching_number)
 
 
 def test_edmonds_gallai_examples(c5, k4):
@@ -143,40 +132,76 @@ def test_chi_plus_nu_identity():
 
 
 def test_partition_report_c5(c5):
-    report = verify_complement_partition(c5, 2)
-    assert report.passed
-    assert not report.isolated and not report.separator
-    assert len(report.components) == 1
-    comp = report.components[0]
-    assert comp.size == 5 and comp.matching_size == 2 and comp.kind == "odd"
+    assert verify_complement_partition(c5, 2).passed
+    isolated, separator, components = brute.gallai_partition(complement(c5))
+    assert not isolated and not separator
+    assert components == [(frozenset(range(5)), 2)]  # one odd component
 
 
 def test_partition_report_k6_minus_matching():
     g = from_edges(6, [(u, v) for u in range(6) for v in range(u + 1, 6)
                        if (u, v) not in {(0, 1), (2, 3), (4, 5)}])
-    report = verify_complement_partition(g, 3)
-    assert report.passed
-    assert len(report.components) == 3
-    assert all(c.kind == "even" and c.matching_size == 1 for c in report.components)
-    assert not report.separator
+    assert verify_complement_partition(g, 3).passed
+    _, separator, components = brute.gallai_partition(complement(g))
+    assert [(len(c), nu) for c, nu in components] == [(2, 1)] * 3  # three even ones
+    assert not separator
 
 
 def test_partition_report_with_separator():
     # complement is a star plus an isolated vertex: one cut vertex, leaves
     gbar = from_edges(5, [(0, 1), (0, 2), (0, 3)])
-    g = complement(gbar)
-    report = verify_complement_partition(g, 1)
-    assert report.passed
-    assert report.separator == frozenset({0})
-    assert report.isolated == frozenset({4})
+    assert verify_complement_partition(complement(gbar), 1).passed
+    isolated, separator, _ = brute.gallai_partition(gbar)
+    assert separator == frozenset({0})
+    assert isolated == frozenset({4})
 
 
 def test_partition_report_singletons():
     # K3 + K1: the complement is a star centred on 3, so 3 separates three singletons
-    report = verify_complement_partition(complement(from_edges(4, [(0, 3), (1, 3), (2, 3)])), 1)
-    assert report.passed
-    assert report.separator == frozenset({3}) and not report.isolated
-    assert [c.kind for c in report.components] == ["singleton"] * 3
+    gbar = from_edges(4, [(0, 3), (1, 3), (2, 3)])
+    assert verify_complement_partition(complement(gbar), 1).passed
+    isolated, separator, components = brute.gallai_partition(gbar)
+    assert separator == frozenset({3}) and not isolated
+    assert [(len(c), nu) for c, nu in components] == [(1, 0)] * 3
+
+
+def test_partition_verdict_can_fail(monkeypatch, c5):
+    # chi comes from the decomposition's matching, so only the component
+    # matching numbers move: the verdict fails, no precondition does
+    real = matching.matching_number
+    monkeypatch.setattr(matching, "matching_number", lambda g: real(g) + 1)
+    assert verify_complement_partition(c5, 2).passed is False
+
+
+def _census_alpha2():
+    """The census graphs with independence number exactly 2: their
+    complements have an edge and no triangle."""
+    for n in range(9):
+        for g in enumerate_graphs(n):
+            gbar = complement(g)
+            if any(gbar.adj) and all(gbar.adj[u] & gbar.adj[v] == 0 for u, v in edges(gbar)):
+                yield g
+
+
+def test_partition_bullets_on_census_alpha2():
+    # a second way for Gallai's chi = n - nu(complement): the partition
+    # bullets with nu taken as n - chi, all by brute force
+    graphs = list(_census_alpha2())
+    assert len(graphs) == 574
+    for g in graphs:
+        k = g.n - brute.chromatic_number(g)
+        assert brute.gallai_faults(complement(g), k) == [], g
+        assert verify_complement_partition(g, k).passed
+
+
+def test_partition_bullets_on_catalog_blocks(catalog):
+    for x in range(1, 19):
+        block, _, chi = catalog.witness_alpha2(x)
+        k = x - chi
+        gbar = complement(block)
+        assert brute.gallai_faults(gbar, k, _nx_matching_number) == [], x
+        if any(gbar.adj):  # alpha = 2, not 1: the catalog certifies alpha <= 2
+            assert verify_complement_partition(block, k).passed, x
 
 
 def test_partition_takes_chi_from_matching(monkeypatch, c5):
