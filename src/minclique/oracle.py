@@ -22,24 +22,30 @@ the two steps below remove the duplicates among the survivors.
 
 Most survivors need no canonical form (the same paper's orbit argument).
 For each parent P only the least mask of each orbit of Aut(P) is tried.
-Aut(P) is found by backtracking over the maps that keep keys and
-adjacency (`_automorphisms`), and not at all when every key is distinct,
-since only the identity then keeps them.  Masks in one orbit give
-isomorphic children, and the degree, budget and key tests give them the
-same verdict: an automorphism keeps degrees and edge counts, and the set
-of the parent's top-degree vertices is a union of degree classes.  Then a
-survivor whose new vertex is the only vertex with the maximal key is kept
-with no canonical form, and with no keys at all when the new vertex's
-degree alone is strictly the largest.  Take two such survivors in one
-class, from parents P and P'.  An isomorphism between them maps the one
-top-key vertex to the other, so new vertex to new vertex; it restricts to an
-isomorphism P -> P', so P = P', since a level holds one representative
-per class, and it restricts to an automorphism of P that sends one mask
-to the other.  The orbit step tried only one of the two masks, so the two
-survivors are one.  Whether a class has a unique top-key vertex depends
-on the class alone, so a class with a tied top key has only tied
-survivors, and only those go through a set of canonical forms.  Neither
-step changes a representative.  The first occurrence of a class in parent
+A backtrack over the maps that keep keys and adjacency keeps, for each v
+and each w > v with v's key, the first automorphism that fixes 0..v-1 and
+sends v to w (`_generators`).  These generate Aut(P): if g fixes 0..v-1
+and moves v to w, and s is the map kept for (v, w), s^-1 g fixes 0..v.
+An inverse is a power in a finite group, so a walk by the kept maps from
+each mask not yet reached, in mask order, finds the least of each orbit.
+Masks in one orbit give isomorphic children, and the degree, budget and
+key tests give them the same verdict: an automorphism keeps degrees and
+edge counts, and the set of the parent's top-degree vertices is a union of
+degree classes.  Then a survivor whose new vertex is the only vertex with
+the maximal key is kept with no canonical form, and with no keys at all
+when the new vertex's degree alone is strictly the largest.  Take two such
+survivors in one class, from parents P and P'.  An isomorphism between
+them maps the one top-key vertex to the other, so new vertex to new
+vertex; it restricts to an isomorphism P -> P', so P = P', since a level
+holds one representative per class, and it restricts to an automorphism
+of P that sends one mask to the other.  The orbit step tried only one of
+the two masks, so the two survivors are one.  Whether a class has a unique
+top-key vertex depends on the class alone, so a class with a tied top key
+has only tied survivors.  They are bucketed by the hash of their sorted
+keys, which isomorphic children share, so a collision only merges buckets.
+A bucket's first survivor is kept with no canonical form; the second makes
+its own form and the first's, and forms decide from then on.  Neither step
+changes a representative.  The first occurrence of a class in parent
 order, then mask order, is the least mask of its orbit, since every mask
 of that orbit gives the same class; so it is still tried and still kept
 first, and every level holds the same representatives in the same order.
@@ -215,30 +221,61 @@ def _canonical_columns(n: int, adj, keys: list[tuple]) -> tuple[int, ...]:
 _levels: list[list[tuple[int, ...]]] = [[()]]  # adjacency-row tuples per n
 
 
-def _automorphisms(n: int, adj, keys: list[tuple]) -> list[tuple[int, ...]]:
-    """Every automorphism of the graph, as the tuple of vertex images.
-    `keys` must be `_vertex_keys(n, adj)`: an automorphism keeps keys, so
-    vertex v is mapped in turn to each unused w with v's key whose row
-    agrees with v's on the vertices mapped so far."""
+def _generators(n: int, adj, keys: list[tuple]) -> list[tuple[int, ...]]:
+    """A strong generating set of the automorphism group (module docstring),
+    as tuples of vertex images.  `keys` must be `_vertex_keys(n, adj)`:
+    vertex v is mapped in turn to each unused w with v's key whose row agrees
+    with v's on the vertices mapped so far, and below each step v -> w > v
+    off the identity only the first complete map is kept."""
     candidates = [[w for w in range(n) if keys[w] == keys[v]] for v in range(n)]
-    image = [0] * n
-    group = []
+    image, group = [0] * n, []
 
-    def extend(v: int, used: int) -> None:
+    def extend(v: int, used: int, identity: bool) -> bool:
         if v == n:
-            group.append(tuple(image))
-            return
+            if not identity:
+                group.append(tuple(image))
+            return True
         row, mapped = adj[v], 0
         for u in range(v):  # v's row on 0..v-1, carried over by the map so far
             mapped |= (row >> u & 1) << image[u]
         for w in candidates[v]:
             if not used >> w & 1 and adj[w] & used == mapped:
                 image[v] = w
-                extend(v + 1, used | 1 << w)
+                if extend(v + 1, used | 1 << w, identity and w == v) and not identity:
+                    return True
+        return False
 
-    extend(0, 0)
+    extend(0, 0, True)
     extend = None  # as in _canonical_columns
     return group
+
+
+def _orbit_minima(m: int, rows, masks: list[int]) -> list[int]:
+    """The least mask of each Aut(P)-orbit in `masks`, a union of orbits,
+    in mask order; P is the parent with rows `rows`."""
+    keys = _vertex_keys(m, rows) if len(masks) > 1 else []
+    if len(set(keys)) == len(keys):  # only the identity keeps distinct keys
+        return masks
+    half, tables = m // 2, []  # per generator, the images of low and high bits
+    for image in _generators(m, rows, keys):
+        tables.append(([0], [0]))
+        for v in range(m):
+            part = tables[-1][v >= half]
+            part += [x | 1 << image[v] for x in part]
+    least, covered, low_bits = [], set(), (1 << half) - 1
+    for mask in masks:
+        if mask not in covered:
+            least.append(mask)
+            covered.add(mask)
+            stack = [mask]
+            while stack:  # inverses are powers, so the generators reach the orbit
+                x = stack.pop()
+                for low, high in tables:
+                    y = low[x & low_bits] | high[x >> half]
+                    if y not in covered:
+                        covered.add(y)
+                        stack.append(y)
+    return least
 
 
 def _ensure_level(n: int) -> None:
@@ -247,6 +284,7 @@ def _ensure_level(n: int) -> None:
         m = len(_levels) - 1
         total = (m + 1) * m // 2  # edges of the complete graph on m + 1 vertices
         lighter: list[tuple[int, ...]] = []
+        first: dict[int, tuple | None] = {}  # per bucket, its first child if unformed
         seen: set[tuple[int, ...]] = set()  # canonical forms of tied children
         for rows in prev:
             # mask.bit_count() >= degs[v] + (mask >> v & 1) for every v holds
@@ -256,25 +294,10 @@ def _ensure_level(n: int) -> None:
             top = max(degs, default=0)
             top_mask = sum(1 << v for v, d in enumerate(degs) if d == top)
             budget = total // 2 - sum(degs) // 2  # mask bits left for the child
-            masks = []
-            for mask in range(1 << m):
-                d = mask.bit_count()
-                if top <= d <= budget and not (d == top and mask & top_mask):
-                    masks.append(mask)
-            parent_keys = _vertex_keys(m, rows) if len(masks) > 1 else []
-            # some key tied; with distinct keys only the identity keeps them
-            if len(set(parent_keys)) < len(parent_keys):
-                # the least mask of each Aut(P)-orbit, in mask order
-                powers = [[1 << w for w in image]
-                          for image in _automorphisms(m, rows, parent_keys)]
-                least, covered = [], set()
-                for mask in masks:
-                    if mask not in covered:
-                        least.append(mask)
-                        vs = [v for v in range(m) if mask >> v & 1]
-                        covered.update(sum([p[v] for v in vs]) for p in powers)
-                masks = least
-            for mask in masks:
+            masks = [mask for mask in range(1 << m)
+                     if top <= (d := mask.bit_count()) <= budget
+                     and not (d == top and mask & top_mask)]
+            for mask in _orbit_minima(m, rows, masks):
                 child = tuple(
                     row | ((mask >> v & 1) << m) for v, row in enumerate(rows)
                 ) + (mask,)
@@ -287,10 +310,17 @@ def _ensure_level(n: int) -> None:
                 if keys[m] < top_key:
                     continue
                 if keys.count(top_key) > 1:
-                    form = _canonical_columns(m + 1, child, keys)
-                    if form in seen:
-                        continue
-                    seen.add(form)
+                    bucket = hash(tuple(sorted(keys)))
+                    other = first.setdefault(bucket, child)
+                    if other is not child:
+                        if other is not None:  # the first child's form, now needed
+                            first[bucket] = None
+                            seen.add(_canonical_columns(
+                                m + 1, other, _vertex_keys(m + 1, other)))
+                        form = _canonical_columns(m + 1, child, keys)
+                        if form in seen:
+                            continue
+                        seen.add(form)
                 lighter.append(child)
         full = (1 << (m + 1)) - 1
         # complements on the raw rows: graphs.complement would build and

@@ -4,6 +4,7 @@ These deliberately share no code with the package solvers: cliques and
 independent sets by subset enumeration, colorability by bare recursion,
 matchings by exhaustive choice.  Only usable for small n, which is the
 point — they are the ground truth the fast solvers are pinned against.
+Automorphisms come from trying every permutation, not from a backtrack.
 The partition minima enumerate every partition instead of running q's
 dynamic program.  The Edmonds-Gallai partition is read off its
 definitions, by deleting one vertex at a time, instead of off a blossom
@@ -12,7 +13,7 @@ reader and a relabeller) make the suite's inputs; the package itself works
 only on adjacency rows.
 """
 
-from itertools import combinations
+from itertools import combinations, permutations
 
 from minclique import Graph, IntInterval, small_omega
 from minclique.graphs import bits, permuted_rows
@@ -37,6 +38,14 @@ def relabel(g: Graph, perm) -> Graph:
     # the new vertex i is the old vertex that perm sends to i
     order = sorted(range(g.n), key=perm.__getitem__)
     return Graph(g.n, tuple(permuted_rows(g.adj, order)))
+
+
+def automorphisms(g: Graph) -> list[tuple[int, ...]]:
+    """Every automorphism of g, as the tuple of vertex images, by trying all
+    n! permutations: usable to about 6 vertices."""
+    return [perm for perm in permutations(range(g.n))
+            if all(sum(1 << perm[u] for u in bits(g.adj[v])) == g.adj[perm[v]]
+                   for v in range(g.n))]
 
 
 def clique_number(g: Graph) -> int:

@@ -26,8 +26,8 @@ from minclique import (
 from minclique.graphs import bits
 from minclique.oracle import (
     KNOWN_CLASS_COUNTS,
-    _automorphisms,
     _canonical_columns,
+    _generators,
     _vertex_keys,
     level_stats,
 )
@@ -112,18 +112,63 @@ def test_level_8_canonicalises_only_tied_children(monkeypatch):
     monkeypatch.setattr(oracle, "_vertex_keys", counted_keys)
     count_graphs(8)
     assert oracle._levels[8] == expected
-    assert len(calls) == 2091  # 13,754 with a form for every survivor
-    # children whose new vertex has a strictly top degree get no keys
-    assert keyed.count(8) == 6392  # 10,296 without the degree-first test
+    # 2,091 with a form for every tied child, 13,754 for every survivor
+    assert len(calls) == 1257
+    # children whose new vertex has a strictly top degree get no keys; the
+    # count includes the keys recomputed for a bucket's first child (6,392
+    # with a form for every tied child, 10,296 without the degree-first test)
+    assert keyed.count(8) == 6782
+
+
+def test_level_8_hash_collisions_only_cost_forms(monkeypatch):
+    # with every tied child in one bucket, each tied child but the first
+    # makes its form and the second also makes the first one's: the 2,091
+    # forms of one set over all tied children, and the same level
+    count_graphs(8)
+    expected = oracle._levels[8]
+    calls = []
+
+    def counted(n, adj, keys):
+        calls.append(n)
+        return _canonical_columns(n, adj, keys)
+
+    monkeypatch.setattr(oracle, "_levels", oracle._levels[:8])
+    monkeypatch.setattr(oracle, "_canonical_columns", counted)
+    monkeypatch.setattr(oracle, "hash", lambda keys: 0, raising=False)
+    count_graphs(8)
+    assert oracle._levels[8] == expected
+    assert len(calls) == 2091
+
+
+def _closure(n, generators):
+    """The group the permutations generate: the identity, closed under
+    composition with each generator."""
+    identity = tuple(range(n))
+    group, frontier = [identity], [identity]
+    seen = {identity}
+    while frontier:
+        g = frontier.pop()
+        for s in generators:
+            h = tuple(s[g[v]] for v in range(n))
+            if h not in seen:
+                seen.add(h)
+                group.append(h)
+                frontier.append(h)
+    return group
 
 
 def test_automorphism_groups_satisfy_the_orbit_count():
     # each labelled graph on n vertices lies in the class of exactly one
-    # representative G, whose class holds n!/|Aut(G)| labelled graphs
+    # representative G, whose class holds n!/|Aut(G)| labelled graphs; so
+    # the sum over the level proves that the generators give all of Aut(G)
     for n in range(8):
         labelled = 0
         for g in enumerate_graphs(n):
-            group = _automorphisms(n, g.adj, _vertex_keys(n, g.adj))
+            generators = _generators(n, g.adj, _vertex_keys(n, g.adj))
+            # one map per (v, w): it fixes 0..v-1 and sends v to some w > v
+            moved = [next((v, s[v]) for v in range(n) if s[v] != v) for s in generators]
+            assert all(w > v for v, w in moved) and len(set(moved)) == len(moved)
+            group = _closure(n, generators)
             assert len(set(group)) == len(group) and tuple(range(n)) in group
             for image in group:
                 assert sorted(image) == list(range(n))
@@ -133,6 +178,20 @@ def test_automorphism_groups_satisfy_the_orbit_count():
             assert math.factorial(n) % len(group) == 0
             labelled += math.factorial(n) // len(group)
         assert labelled == 2 ** (n * (n - 1) // 2)
+
+
+def test_orbit_minima_equal_the_least_images_under_every_permutation():
+    # the group by brute force (every permutation), the least mask per orbit
+    # as the least image of each mask under that group
+    for n in range(7):
+        masks = list(range(1 << n))
+        for g in enumerate_graphs(n):
+            group = brute.automorphisms(g)
+            generators = _generators(n, g.adj, _vertex_keys(n, g.adj))
+            assert set(_closure(n, generators)) == set(group)
+            least = {min(sum(1 << image[v] for v in bits(mask)) for image in group)
+                     for mask in masks}
+            assert oracle._orbit_minima(n, g.adj, masks) == sorted(least), g.adj
 
 
 # OEIS A008406, row n = 8: the number of 8-vertex graphs with e edges,
