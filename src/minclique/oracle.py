@@ -76,10 +76,14 @@ string (column order, the graph6 layout) over all vertex orderings that
 list a cheap isomorphism-invariant vertex key (degree, then sorted
 neighbor degrees) in nondecreasing order.  Restricting to key-monotone
 orderings is sound — isomorphisms preserve the key, so isomorphic graphs
-minimize over corresponding sets of orderings — and it keeps the search
-tree tiny for everything except highly regular graphs, which are rare.
-The minimization itself is a DFS that only ever extends a prefix by
-vertices whose next column is minimal, with a global best for pruning.
+minimize over corresponding sets of orderings.  The minimization is a DFS
+over positions 0..n-1.  Sorting the keys fixes the key of each position j,
+and `slot[j]` is the mask of the vertices with that key.  The state is the
+placed prefix, its columns and the mask `free` of unplaced vertices, so
+the candidates for position j are `slot[j] & free`, in ascending label.
+Only candidates whose next column is minimal among them extend the prefix,
+and a global best cuts a prefix that agrees with it so far but whose
+minimal next column exceeds the best's.
 
 The DFS also skips twins.  Vertices u and v are twins when their
 neighborhoods agree outside {u, v}: true twins (adjacent) have equal closed
@@ -93,7 +97,10 @@ strings.  Trying only the first twin of each class at a position therefore
 leaves the minimum unchanged.  Twins share a key, so the key-monotone
 argument above is unchanged.  The pruning cuts the t! identical subtrees
 of t interchangeable vertices (isolated vertices, the parts of a complete
-multipartite graph) down to one.
+multipartite graph) down to one.  It does not cut the permutations of t
+isomorphic blocks of several vertices each, which still cost t! leaves.
+On a 2-CPU Linux machine under CPython 3.11, the form of K12,12,12,12,12
+took 0.31-0.65 s, and 8 disjoint copies of K8 did not finish in 20 s.
 
 On top of the enumeration: the table of minimum clique number by chromatic
 number and the largest chi - omega excess, read off that table.  The
@@ -117,7 +124,7 @@ from __future__ import annotations
 import functools
 
 from .errors import CapacityError
-from .graphs import Graph
+from .graphs import Graph, bits
 from . import solvers
 
 MAX_ENUM_VERTICES = 8
@@ -150,39 +157,34 @@ def _canonical_columns(n: int, adj, keys: list[tuple]) -> tuple[int, ...]:
     """Columns of the minimal bit string; column j has j bits, the
     adjacency of position j to positions 0..j-1 (most significant first).
     `keys` must be `_vertex_keys(n, adj)`."""
-    if n <= 1:
-        return ()
-    order = sorted(range(n), key=lambda v: (keys[v], v))
-    groups: list[list[int]] = []
-    for v in order:
-        if groups and keys[groups[-1][-1]] == keys[v]:
-            groups[-1].append(v)
-        else:
-            groups.append([v])
-    # twin[v] is the least vertex of v's twin class; twins share a key, so
-    # only members of one group need comparing
+    same: dict[tuple, int] = {}  # per key, the mask of its vertices
+    for v in range(n):
+        same[keys[v]] = same.get(keys[v], 0) | 1 << v
+    slot = [same[key] for key in sorted(keys)]  # who may take position j
+    # twin[v] is the least vertex of v's twin class; twins share a key
     twin = list(range(n))
-    for group in groups:
-        for i, v in enumerate(group):
-            for u in group[:i]:
-                if twin[u] == u and adj[u] & ~(1 << v) == adj[v] & ~(1 << u):
-                    twin[v] = u
-                    break
+    for v in range(n):
+        for u in bits(same[keys[v]] & ((1 << v) - 1)):
+            if twin[u] == u and adj[u] & ~(1 << v) == adj[v] & ~(1 << u):
+                twin[v] = u
+                break
 
     best: list[int] | None = None
 
-    def extend(placed: list[int], cols: list[int], group_idx: int, used_in_group: set[int]) -> None:
+    def extend(placed: list[int], cols: list[int], free: int) -> None:
         nonlocal best
         j = len(placed)
         if j == n:
             if best is None or cols < best:
                 best = cols.copy()
             return
-        group = groups[group_idx]
-        remaining = [v for v in group if v not in used_in_group]
         # next column value per candidate; only minima can start a minimal suffix
         scored = []
-        for v in remaining:
+        cand = slot[j] & free
+        while cand:  # inline low-bit loop, as in _vertex_keys
+            bit = cand & -cand
+            cand ^= bit
+            v = bit.bit_length() - 1
             col = 0
             row = adj[v]
             for i, p in enumerate(placed):
@@ -201,16 +203,11 @@ def _canonical_columns(n: int, adj, keys: list[tuple]) -> tuple[int, ...]:
             tried |= 1 << twin[v]
             placed.append(v)
             cols.append(col)
-            if len(remaining) == 1:
-                extend(placed, cols, group_idx + 1, set())
-            else:
-                used_in_group.add(v)
-                extend(placed, cols, group_idx, used_in_group)
-                used_in_group.discard(v)
+            extend(placed, cols, free ^ 1 << v)
             placed.pop()
             cols.pop()
 
-    extend([], [], 0, set())
+    extend([], [], (1 << n) - 1)
     extend = None  # the closure refers to itself: free it without the cyclic gc
     assert best is not None
     return tuple(best[1:])  # drop the empty column of position 0

@@ -4,6 +4,7 @@ import json
 import math
 import random
 import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -107,11 +108,29 @@ def test_level_8_canonicalises_only_tied_children(monkeypatch):
         keyed.append(n)
         return _vertex_keys(n, adj)
 
+    # the search nodes: calls of the nested extend, whose code object is a
+    # constant of _canonical_columns
+    (extend,) = [c for c in _canonical_columns.__code__.co_consts
+                 if getattr(c, "co_name", None) == "extend"]
+    nodes = 0
+
+    def profile(frame, event, arg):
+        nonlocal nodes
+        if event == "call" and frame.f_code is extend:
+            nodes += 1
+
     monkeypatch.setattr(oracle, "_levels", oracle._levels[:8])
     monkeypatch.setattr(oracle, "_canonical_columns", counted)
     monkeypatch.setattr(oracle, "_vertex_keys", counted_keys)
-    count_graphs(8)
+    sys.setprofile(profile)
+    try:
+        count_graphs(8)
+    finally:
+        sys.setprofile(None)
     assert oracle._levels[8] == expected
+    # a cut lost from the search (the minimal column, the best prefix or
+    # the twin rule) changes this number even where every form stays
+    assert nodes == 23247
     # 2,091 with a form for every tied child, 13,754 for every survivor
     assert len(calls) == 1257
     # children whose new vertex has a strictly top degree get no keys; the
@@ -376,6 +395,21 @@ def test_canonical_form_agrees_with_networkx_on_twin_heavy_graphs():
                 assert (canonical_form(g) == canonical_form(h)) == same
                 verdicts.add(same)
     assert verdicts == {True, False}
+
+
+def test_canonical_form_on_64_vertex_twin_classes():
+    # every vertex has a twin: with no twin rule the empty graph alone
+    # would need 64! leaves; it needs no networkx, so every install runs it
+    rng = random.Random(67)
+    forms = {}
+    for sizes in ((64,), (32, 32), (31, 33), (16,) * 4, (20, 20, 20, 4)):
+        multipartite = join([from_edges(s, []) for s in sizes])  # (64,): empty
+        for g in (multipartite, complement(multipartite)):
+            form = canonical_form(g)
+            assert canonical_form(relabel(g, rng.sample(range(64), 64))) == form
+            forms[sizes, g is multipartite] = form
+    # ten classes, so K32,32 and K31,33 get different forms
+    assert len(set(forms.values())) == 10
 
 
 def test_canonical_form_invariance():
