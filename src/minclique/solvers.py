@@ -18,7 +18,9 @@ representatives on 3..8 vertices (the greedy order depends on the
 labelling, so the count moves with the choice of representatives).
 Otherwise k runs upward from max(omega, ceil(n / alpha)) to upper - 1, each
 k decided by backtracking with forward checking; the first colorable k is
-chi, and if none is, chi is upper.  The backtracking has two cuts, both
+chi, and if none is, chi is upper.  A greedy independent set of size a
+comes first: alpha >= a gives ceil(n / alpha) <= ceil(n / a), so alpha is
+solved only when ceil(n / a) > omega.  The backtracking has two cuts, both
 symmetry breaks: a maximum clique is preassigned to distinct colors, and
 each step may open at most one brand-new color, so the colors on offer are
 the lowest min(max_used + 2, k), max_used being the highest color in use
@@ -28,9 +30,11 @@ chi.  Its pick rule is DSATUR's (Brelaz 1979): the next vertex has the
 fewest colors left in the window, ties to the highest degree, then the
 lowest label.  Every color on a colored neighbor is at most max_used,
 inside the window, so fewest left is most distinct colors on colored
-neighbors (the saturation), and the ties are position order.  Uncolored
-vertices are therefore kept in one bitmask per saturation, and a pick is
-the lowest bit of the highest non-empty one.
+neighbors (the saturation), and the ties are position order.  Saturations
+are therefore kept bit-sliced, one plane per bit of every uncolored
+vertex's count: a pick narrows the uncolored set through the planes from
+the top and takes its lowest bit, and coloring a vertex adds one to all of
+its newly barred neighbors at once by a ripple carry.
 Everything is exact; the test suite pins all three against brute-force
 enumeration on small graphs, and chi's search against inclusion-exclusion
 over independent sets on up to 16 vertices.
@@ -67,12 +71,14 @@ def chromatic_number(g: Graph) -> int:
 def clique_and_chromatic_number(g: Graph) -> tuple[int, int]:
     """(omega, chi) of g, from one clique search and, only when its greedy
     bound exceeds omega, a k-colorability search on the same relabelled
-    rows."""
+    rows, and alpha only where it can raise the first k (module docstring)."""
     omega, clique, upper, _, radj = _max_clique_within(g)
     if upper == omega:
         return omega, upper
-    alpha = independence_number(g)
-    for k in range(max(omega, -(-g.n // alpha)), upper):
+    start = omega
+    if -(-g.n // _greedy_independent(radj)) > omega:
+        start = max(omega, -(-g.n // independence_number(g)))
+    for k in range(start, upper):
         if _colorable(radj, k, clique):
             return omega, k
     return omega, upper
@@ -140,6 +146,18 @@ def _greedy_color_order(cand: int, radj: list[int]) -> list[tuple[int, int]]:
 # -- k-colorability backtracking ---------------------------------------------
 
 
+def _greedy_independent(radj: list[int]) -> int:
+    """Size of a greedy independent set, taking the last row (lowest degree)
+    first: a lower bound on alpha."""
+    size = 0
+    rest = (1 << len(radj)) - 1
+    while rest:
+        v = rest.bit_length() - 1
+        rest &= ~(radj[v] | 1 << v)
+        size += 1
+    return size
+
+
 def _colorable(radj: list[int], k: int, clique: tuple[int, ...]) -> bool:
     """Whether the graph with rows `radj` has a proper k-coloring: DSATUR
     backtracking with forward checking.
@@ -156,72 +174,62 @@ def _colorable(radj: list[int], k: int, clique: tuple[int, ...]) -> bool:
     with the fewest colors left in the window: as every color on a colored
     neighbor lies inside it, that is the largest saturation (distinct colors
     on colored neighbors), ties to the lowest row, which is the highest
-    degree then the lowest label of g.  Uncolored vertices sit in one
-    bitmask per saturation, so a pick is the lowest bit of the highest
-    non-empty bucket.  Coloring v with c walks the uncolored neighbors not
-    yet barred from c (`barred[c]`) up one bucket, and backtracking walks
-    them down again; a vertex that reaches bucket k has no color left.
+    degree then the lowest label of g.  A saturation s is kept as
+    s + 2**width - k in `width` bit planes, the top plane first, so a pick
+    narrows the uncolored set through the planes and takes its lowest bit.
+    `barred` holds one n-bit lane per color, bit c*n + u set when u has a
+    neighbor of color c, so v's colors left are one mask over the window's
+    lanes.  Coloring v with c adds one to the uncolored neighbors not yet
+    barred from c by a ripple carry over a copy of the planes, which
+    backtracking drops; a carry out of the top plane is a saturation of k,
+    a vertex with no color left.
     """
     n = len(radj)
-    forbidden = [0] * n  # per vertex: colors on its colored neighbors
-    barred = [0] * k  # per color: vertices with a neighbor of that color
-    buckets = [0] * (k + 1)  # per saturation: the uncolored vertices
+    width = (k - 1).bit_length()
+    low_first = range(width - 1, -1, -1)
     uncolored = (1 << n) - 1
-    for c, v in enumerate(clique):
+    for v in clique:
         uncolored ^= 1 << v
-        barred[c] = radj[v]
-    rest = uncolored
-    while rest:
-        low = rest & -rest
-        rest ^= low
-        v = low.bit_length() - 1
-        forbidden[v] = sum(1 << c for c in range(len(clique)) if barred[c] & low)
-        buckets[forbidden[v].bit_count()] |= low
+    # planes[j] holds bit width - 1 - j of every s + 2**width - k
+    planes = [uncolored if (2**width - k) >> i & 1 else 0 for i in low_first]
+    barred = 0
+    for c, v in enumerate(clique):
+        carry = radj[v] & uncolored
+        barred |= carry << c * n
+        for i in low_first:
+            planes[i], carry = planes[i] ^ carry, planes[i] & carry
+    lanes = [sum(1 << c * n for c in range(min(m + 2, k))) for m in range(k)]
 
-    def solve(uncolored: int, max_used: int) -> bool:
+    def solve(uncolored: int, max_used: int, planes: list[int], barred: int) -> bool:
         if not uncolored:
             return True
-        s = k - 1
-        while not buckets[s]:
-            s -= 1
-        low = buckets[s] & -buckets[s]
-        buckets[s] ^= low
-        uncolored ^= low
+        pick = uncolored
+        for plane in planes:
+            if pick & plane:
+                pick &= plane
+        low = pick & -pick
         v = low.bit_length() - 1
-        row = radj[v]
-        options = (1 << min(max_used + 2, k)) - 1 & ~forbidden[v]
+        uncolored ^= low
+        row = radj[v] & uncolored
+        options = lanes[max_used] & ~(barred >> v)
+        opened = (max_used + 1) * n  # the lane of the one color v may open
         while options:
             color = options & -options
             options ^= color
-            c = color.bit_length() - 1
-            touched = row & uncolored & ~barred[c]
-            barred[c] |= touched
-            rest = touched
-            while rest:
-                bit = rest & -rest
-                rest ^= bit
-                u = bit.bit_length() - 1
-                f = forbidden[u]
-                forbidden[u] = f | color
-                up = f.bit_count() + 1
-                buckets[up - 1] ^= bit
-                buckets[up] |= bit
-            if not buckets[k] and solve(uncolored, max(max_used, c)):
+            shift = color.bit_length() - 1
+            touched = row & ~(barred >> shift)
+            sat = planes[:]
+            carry = touched
+            for i in low_first:
+                if not carry:
+                    break
+                sat[i], carry = sat[i] ^ carry, sat[i] & carry
+            if carry:
+                continue
+            if solve(uncolored, max_used + (shift == opened), sat, barred | touched << shift):
                 return True
-            rest = touched
-            while rest:
-                bit = rest & -rest
-                rest ^= bit
-                u = bit.bit_length() - 1
-                f = forbidden[u] ^ color
-                forbidden[u] = f
-                down = f.bit_count()
-                buckets[down + 1] ^= bit
-                buckets[down] |= bit
-            barred[c] ^= touched
-        buckets[s] |= low
         return False
 
-    found = solve(uncolored, len(clique) - 1)
+    found = solve(uncolored, len(clique) - 1, planes, barred)
     solve = None  # as in _max_clique_within
     return found

@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 
@@ -11,13 +12,15 @@ from minclique import (
     enumerate_graphs,
     independence_number,
     join,
+    matching_number,
     max_clique,
+    parse_graph6,
     solvers,
 )
 
 import brute
 from brute import edges, from_edges
-from conftest import random_graph
+from conftest import random_graph, random_triangle_free
 
 
 def test_clique_known(c5):
@@ -210,6 +213,102 @@ def test_chromatic_skips_alpha_when_bounds_meet(monkeypatch, c5):
     # chi(C5) = 3 > omega = 2: no coloring meets the clique bound
     with pytest.raises(_AlphaCalled):
         chromatic_number(c5)
+
+
+# seeded G(40, 0.7): omega 9, alpha 5, chi 12, greedy bound 15, so the
+# search refutes k = 9, 10 and 11
+DENSE_40 = (
+    r"g_}Jfvoz`xyj]lyZ\fF~~}xFDli|b}}~{y}do~n^sm{bx|lsf^nvI|nkV\}xZJDA~eZul~~p^~lzRx~z}|"
+    r"et~kY}~a}}Z|~m~my}rzts~~n^Qnzu|`~}}~vw{YFKCitYnyp"
+)
+# the 23-vertex Mycielski graph as labelled in CI: omega 2, chi 5, greedy bound 5
+MYCIELSKI_23 = "VkLTAQGK?NiShOQcPa@b?SAA_GAOOCOO?oG?@{???N~_"
+
+
+def test_chromatic_search_nodes_pinned():
+    # the search nodes: calls of the nested solve, whose code object is a
+    # constant of _colorable; a lost cut or a changed pick rule changes them
+    (solve,) = [c for c in solvers._colorable.__code__.co_consts
+                if getattr(c, "co_name", None) == "solve"]
+    nodes = 0
+
+    def profile(frame, event, arg):
+        nonlocal nodes
+        if event == "call" and frame.f_code is solve:
+            nodes += 1
+
+    for graph6, expected, count in ((DENSE_40, (9, 12), 2421), (MYCIELSKI_23, (2, 5), 700)):
+        g = parse_graph6(graph6)
+        nodes = 0
+        sys.setprofile(profile)
+        try:
+            result = solvers.clique_and_chromatic_number(g)
+        finally:
+            sys.setprofile(None)
+        assert result == expected
+        assert nodes == count
+
+
+def test_colorable_matches_bruteforce_for_every_k():
+    # k = 1..9 on up to 10 vertices, with the rows and clique of the clique
+    # search.  A saturation s is held as s + 2**width - k in
+    # width = (k - 1).bit_length() planes: a power-of-two k (1, 2, 4, 8) has
+    # no offset, k - 1 fills every plane and k = 1 has no plane at all, so a
+    # saturation of k is exactly a carry out of the top plane
+    rng = random.Random(32)
+    corpus = [random_graph(rng, rng.randrange(1, 11), rng.random()) for _ in range(200)]
+    c5 = circulant(5, {1})
+    # omega = m + 2 and chi = m + 3: k = |clique| is refuted at k = 2..7
+    corpus += [join([c5, complete_graph(m)]) if m else c5 for m in range(6)]
+    corpus += [join([c5, c5]), _wheel(5), _wheel(7)]
+    seen = set()
+    for g in corpus:
+        omega, clique, _, _, radj = solvers._max_clique_within(g)
+        assert len(clique) == omega
+        for k in range(max(omega, 1), 10):
+            verdict = solvers._colorable(radj, k, clique)
+            assert verdict == brute.is_k_colorable(g, k), (g, k)
+            seen.add((k, verdict, k == omega))
+    assert {k for k, _, _ in seen} == set(range(1, 10))
+    assert {k for k, verdict, _ in seen if not verdict} >= {2, 3, 4, 5, 6, 7}
+    assert {k for k, verdict, at_omega in seen if not verdict and at_omega} >= {2, 4}
+
+
+def _counting_alpha(monkeypatch):
+    calls = []
+    alpha = solvers.independence_number
+
+    def counted(g):
+        calls.append(g.n)
+        return alpha(g)
+
+    monkeypatch.setattr(solvers, "independence_number", counted)
+    return calls
+
+
+def test_chromatic_skips_alpha_where_greedy_set_settles_the_start(monkeypatch):
+    # sparse G(64, 0.1): the greedy bound 5 exceeds omega 3, and a greedy
+    # independent set of 25 gives ceil(64 / 25) = 3 <= omega, so the search
+    # starts at omega without alpha
+    g = random_graph(random.Random(2), 64, 0.1)
+    omega, _, upper, _, radj = solvers._max_clique_within(g)
+    assert (omega, upper, solvers._greedy_independent(radj)) == (3, 5, 25)
+    calls = _counting_alpha(monkeypatch)
+    assert solvers.clique_and_chromatic_number(g) == (3, 4)
+    assert calls == []
+    # alpha itself would have given the same first k
+    assert -(-g.n // independence_number(g)) <= omega
+
+
+def test_chromatic_solves_alpha_where_it_sets_the_start(monkeypatch):
+    # alpha = 2: the greedy set has 2 vertices, ceil(20 / 2) = 10 > omega 7,
+    # so alpha is solved and the search starts at ceil(n / 2)
+    g = complement(random_triangle_free(random.Random(0), 20))
+    omega, _, upper, _, radj = solvers._max_clique_within(g)
+    assert (omega, upper, solvers._greedy_independent(radj)) == (7, 11, 2)
+    calls = _counting_alpha(monkeypatch)
+    assert chromatic_number(g) == g.n - matching_number(complement(g)) == 10
+    assert calls == [20]
 
 
 def test_clique_matches_networkx_past_eight_vertices():
