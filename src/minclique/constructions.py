@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import CapacityError, InvalidVertexError, PreconditionError
+from .errors import CapacityError, PreconditionError
 from .graphs import MAX_VERTICES, Graph, bits, complete_graph, induced_subgraph, transpose
 from .intervals import IntInterval
 from .qfunction import QCertificate, q
@@ -85,20 +85,12 @@ class ComposeInput:
                 raise PreconditionError(
                     f"{name} has size {len(clique)}, need omega(g2) = {omega2}"
                 )
-            if not _is_clique(graph, clique):
+            # induced_subgraph rejects a vertex outside the graph; a repeated
+            # vertex leaves fewer vertices, so fewer than C(len, 2) edges
+            size = len(clique)
+            if induced_subgraph(graph, clique).num_edges != size * (size - 1) // 2:
                 raise PreconditionError(f"{name} {clique} is not a clique")
         return cls(g1, g2, clique1, clique2, omega1, omega2)
-
-
-def _is_clique(g: Graph, vertices: tuple[int, ...]) -> bool:
-    """Whether `vertices` are distinct and pairwise adjacent in g."""
-    mask = 0
-    for v in vertices:
-        if not 0 <= v < g.n:
-            raise InvalidVertexError(f"vertex {v} outside 0..{g.n - 1}")
-        mask |= 1 << v
-    return mask.bit_count() == len(vertices) and all(
-        mask & ~g.adj[v] == 1 << v for v in vertices)
 
 
 def _lex_first_clique(g: Graph, size: int) -> tuple[int, ...]:

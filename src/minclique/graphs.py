@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import binascii
 import re
-import sys
+import struct
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -121,9 +121,7 @@ def _columns(rows: Sequence[int], size: int) -> list[int]:
     """Columns 0..size-1 of the matrix with these rows, all of whose
     entries lie in the top-left size x size corner."""
     packed = _transposed(_pack(rows), size)
-    # the cast reads native words, so the bytes must be in native order
-    words = memoryview(packed.to_bytes(8 * size, sys.byteorder)).cast("Q").tolist()
-    return words if sys.byteorder == "little" else words[::-1]
+    return list(struct.unpack(f"<{size}Q", packed.to_bytes(8 * size, "little")))
 
 
 def transpose(rows: Sequence[int]) -> list[int]:

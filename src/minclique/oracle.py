@@ -67,9 +67,7 @@ deg(v) = e(G) - e(P) bits, within the budget.
 Representatives are deterministic.  A class with at most half the edges is
 represented by its first surviving child in parent order, then mask order;
 a class with more than half the edges is represented by the complement of
-its complement class's representative.  They are not the members the
-unfiltered enumeration kept, so `check theorem1 --dump-graph6` lists other
-graph6 lines for the same classes.
+its complement class's representative.
 
 The canonical form is the lexicographically minimal upper-triangle bit
 string (column order, the graph6 layout) over all vertex orderings that
@@ -90,13 +88,18 @@ neighborhoods agree outside {u, v}: true twins (adjacent) have equal closed
 neighborhoods, false twins (not adjacent) equal open ones, and each kind
 is transitive.  A vertex v cannot have both a true twin w and a false twin
 x: w would be a neighbor of x, so x a neighbor of w, hence of v.  So being
-twins is an equivalence.  Swapping two twins is an automorphism that fixes
-every other vertex; if both are unplaced it fixes the placed prefix, so
-they have the same next column and their subtrees give the same column
-strings.  Trying only the first twin of each class at a position therefore
-leaves the minimum unchanged.  Twins share a key, so the key-monotone
-argument above is unchanged.  The pruning cuts the t! identical subtrees
-of t interchangeable vertices (isolated vertices, the parts of a complete
+twins is an equivalence.  The classes come from one table keyed by
+neighborhood: each vertex is first looked up by N(v), then, if no earlier
+vertex shares it, by N[v].  No open neighborhood equals a closed one, as
+N(u) = N[v] would put u in N(u), so each class maps to its least vertex.
+Swapping two twins is an automorphism that fixes every other vertex; if
+both are unplaced it fixes the placed prefix, so they have the same next
+column and their subtrees give the same column strings.  The scan of the
+candidates for a position therefore scores only the first unplaced member
+of each class, which leaves the minimal column, the cut and the minimum
+unchanged.  Twins share a key, so the key-monotone argument above is
+unchanged.  The pruning cuts the t! identical subtrees of t
+interchangeable vertices (isolated vertices, the parts of a complete
 multipartite graph) down to one.  It does not cut the permutations of t
 isomorphic blocks of several vertices each, which still cost t! leaves.
 On a 2-CPU Linux machine under CPython 3.11, the form of K12,12,12,12,12
@@ -107,16 +110,17 @@ number and the largest chi - omega excess, read off that table.  The
 formula is checked against both by `check theorem1` (`cli._check_theorem1`).
 
 The table needs an exact search on few graphs.  Each graph first gets two
-cheap bounds over its vertices by descending degree, ties by index: `low`,
-the size of a greedy clique, and `high`, the colour count of a first-fit
-colouring, so low <= omega <= chi <= high.  If every c in [low, high]
-already has an entry <= low, the graph is skipped: its own entry would sit
-at c = chi, which already holds a value <= low <= omega, so it can neither
-add a key nor lower a value.  Otherwise, if low == high, then omega = chi =
-low with no search, and only else does the exact search run.  The first
-graph with a given chi is never skipped, since that key is still missing,
-so the table gets the same keys, in the same order, with the same values
-as with a search on every graph.
+cheap bounds over its vertices in label order: `low`, the size of a greedy
+clique, and `high`, the colour count of the first-fit colouring that also
+bounds the clique search (`solvers._greedy_color_order`), so low <= omega
+<= chi <= high.  Any order gives valid bounds, and label order needs no
+sort.  If every c in [low, high] already has an entry <= low, the graph is
+skipped: its own entry would sit at c = chi, which already holds a value
+<= low <= omega, so it can neither add a key nor lower a value.
+Otherwise, if low == high, then omega = chi = low with no search, and only
+else does the exact search run.  The first graph with a given chi is never
+skipped, since that key is still missing, so the table gets the same keys,
+in the same order, with the same values as with a search on every graph.
 """
 
 from __future__ import annotations
@@ -124,7 +128,7 @@ from __future__ import annotations
 import functools
 
 from .errors import CapacityError
-from .graphs import Graph, bits
+from .graphs import Graph
 from . import solvers
 
 MAX_ENUM_VERTICES = 8
@@ -161,13 +165,13 @@ def _canonical_columns(n: int, adj, keys: list[tuple]) -> tuple[int, ...]:
     for v in range(n):
         same[keys[v]] = same.get(keys[v], 0) | 1 << v
     slot = [same[key] for key in sorted(keys)]  # who may take position j
-    # twin[v] is the least vertex of v's twin class; twins share a key
-    twin = list(range(n))
+    # twin[v] is the least vertex of v's twin class: false twins share N(v),
+    # true twins N[v], and no N(u) equals an N[v], which holds u
+    least: dict[int, int] = {}
+    twin = [least.setdefault(adj[v], v) for v in range(n)]
     for v in range(n):
-        for u in bits(same[keys[v]] & ((1 << v) - 1)):
-            if twin[u] == u and adj[u] & ~(1 << v) == adj[v] & ~(1 << u):
-                twin[v] = u
-                break
+        if twin[v] == v:
+            twin[v] = least.setdefault(adj[v] | 1 << v, v)
 
     best: list[int] | None = None
 
@@ -181,10 +185,14 @@ def _canonical_columns(n: int, adj, keys: list[tuple]) -> tuple[int, ...]:
         # next column value per candidate; only minima can start a minimal suffix
         scored = []
         cand = slot[j] & free
+        seen = 0  # bitmask of the twin classes already scored: one member each
         while cand:  # inline low-bit loop, as in _vertex_keys
             bit = cand & -cand
             cand ^= bit
             v = bit.bit_length() - 1
+            if seen >> twin[v] & 1:
+                continue
+            seen |= 1 << twin[v]
             col = 0
             row = adj[v]
             for i, p in enumerate(placed):
@@ -196,11 +204,9 @@ def _canonical_columns(n: int, adj, keys: list[tuple]) -> tuple[int, ...]:
         # extends the parent's cols: so here cols <= best[:j] and j < n
         if best is not None and cols == best[:j] and low > best[j]:
             return
-        tried = 0  # bitmask of the twin classes already tried at position j
         for col, v in scored:
-            if col != low or tried >> twin[v] & 1:
+            if col != low:
                 continue
-            tried |= 1 << twin[v]
             placed.append(v)
             cols.append(col)
             extend(placed, cols, free ^ 1 << v)
@@ -353,21 +359,16 @@ def count_graphs(n: int) -> int:
 
 def _greedy_bounds(n: int, adj) -> tuple[int, int]:
     """(low, high) with low <= omega <= chi <= high: the size of a greedy
-    clique and the colour count of a first-fit colouring, both over the
-    vertices by descending degree, ties by index."""
-    cand, low, classes = (1 << n) - 1, 0, []
-    for v in sorted(range(n), key=lambda v: -adj[v].bit_count()):
-        row = adj[v]
-        if cand >> v & 1:
-            low += 1
-            cand &= row
-        for c, members in enumerate(classes):
-            if not members & row:
-                classes[c] = members | 1 << v
-                break
-        else:
-            classes.append(1 << v)
-    return low, len(classes)
+    clique and the colour count of the solvers' first-fit colouring, both
+    over the vertices in label order."""
+    if not n:
+        return 0, 0
+    full = cand = (1 << n) - 1
+    low = 0
+    while cand:  # take the lowest candidate, keep only its neighbours
+        low += 1
+        cand &= adj[(cand & -cand).bit_length() - 1]
+    return low, solvers._greedy_color_order(full, adj)[-1][1]
 
 
 @functools.cache

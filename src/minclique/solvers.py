@@ -127,7 +127,8 @@ def _max_clique_within(g: Graph) -> tuple[int, tuple[int, ...], int, list[int], 
 
 def _greedy_color_order(cand: int, radj: list[int]) -> list[tuple[int, int]]:
     """Sequentially color the candidate set; returns (vertex, color) with
-    colors nondecreasing, so a reverse scan sees upper bounds first."""
+    colors nondecreasing, so a reverse scan sees upper bounds first.  Also
+    the census's colouring bound (`oracle._greedy_bounds`), on raw rows."""
     seq = []
     uncolored = cand
     color = 0

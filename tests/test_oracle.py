@@ -304,8 +304,10 @@ def test_level_stats_searches_only_where_an_entry_can_move(monkeypatch):
     monkeypatch.setattr(solvers, "clique_and_chromatic_number", counted)
     for n in range(9):
         level_stats.__wrapped__(n)
-    assert len(calls) == 79  # 13,599 with a search on every graph
-    assert calls.count(8) == 72
+    # 13,599 with a search on every graph; the count moves with the vertex
+    # order of the greedy bounds (79 by descending degree)
+    assert len(calls) == 686
+    assert calls.count(8) == 655
 
 
 def _swap_edges(rng, g):

@@ -53,7 +53,9 @@ def test_input_is_rejected_with_typed_error(call, error):
 @pytest.mark.parametrize("first, second, flags, message", [
     (complete_graph(40), complete_graph(30), (), "composition needs 100 vertices, limit 64"),
     (circulant(5, {1}), circulant(5, {1}), ("--clique1", "0,7"), "vertex 7 outside 0..4"),
-], ids=["capacity", "vertex"])
+    (circulant(5, {1}), circulant(5, {1}), ("--clique1", "0,2"), "clique1 (0, 2) is not a clique"),
+    (circulant(5, {1}), circulant(5, {1}), ("--clique1", "0,0"), "clique1 (0, 0) is not a clique"),
+], ids=["capacity", "vertex", "non-adjacent", "repeated"])
 def test_compose_command_rejects(tmp_path, first, second, flags, message):
     paths = []
     for name, g in (("a.g6", first), ("b.g6", second)):
